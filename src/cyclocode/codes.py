@@ -2,9 +2,10 @@
 
 Matrices hold field-element encodings in int64 numpy arrays; row reduction
 runs through the field context so it works for prime and extension fields
-alike.  The minimum-distance kernel has two paths: a Gray-code bitset walk
-for F_2 (one XOR and popcount per codeword) and a chunked matrix-multiply
-enumeration over the prime subfield for everything else.
+alike.  Minimum distances and weight distributions come from one
+meet-in-the-middle enumeration over the prime subfield, the same for every
+field: a table of all combinations of the first rows, walked by an odometer
+over the remaining rows.
 """
 
 import math
@@ -13,22 +14,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclotomic import cyclotomic_poly, profile
+from .cyclotomic import cyclotomic_poly
 from .errors import (
     BudgetExceeded,
     CharacteristicDividesN,
     DegreeTooLarge,
     FieldMismatch,
+    InvalidArgument,
     LengthMismatch,
     NotADivisor,
     NotMonic,
     PrimeLength,
 )
-from .field import ROOT_SEARCH_LIMIT, make_extension, nth_root_of_unity
+from .field import ROOT_SEARCH_LIMIT, is_prime, make_extension, nth_root_of_unity
 from .poly import Poly, reciprocal
 
 DEFAULT_BUDGET = 1 << 24
-_CHUNK = 1 << 15
+# Columns of the enumeration table: it holds every F_p-combination of as many
+# leading rows as fit, and each further row multiplies the walk over it by p.
+# At 2^13 a step's arrays stay in cache; larger tables measured slower and
+# raised peak memory.
+_LOW_TABLE = 1 << 13
 
 
 class GenMatrix:
@@ -97,10 +103,6 @@ class GenMatrix:
         return f"GenMatrix({self.ctx!r}, {self.num_rows}x{self.n})"
 
 
-def rref(m):
-    return m.rref()
-
-
 @dataclass
 class DistanceReport:
     d: int
@@ -165,15 +167,15 @@ def from_generator(g, n, label=""):
 def build_Cn(n, ctx):
     """The code generated by Q_n; an [n, n - phi(n)] code."""
     if n <= 1:
-        raise ValueError("build_Cn needs n > 1")
+        raise InvalidArgument(f"build_Cn needs n > 1, got {n}")
     return from_generator(cyclotomic_poly(n, ctx), n, label="C_n")
 
 
 def build_Cn1(n, ctx):
     """The code generated by Q_n * Q_1; defined for composite n only."""
     if n <= 1:
-        raise ValueError("build_Cn1 needs n > 1")
-    if profile(n).omega == 1 and profile(n).factorization[0][1] == 1:
+        raise InvalidArgument(f"build_Cn1 needs n > 1, got {n}")
+    if is_prime(n):
         raise PrimeLength(f"n = {n} is prime, the code would be the zero code")
     g = cyclotomic_poly(n, ctx) * cyclotomic_poly(1, ctx)
     return from_generator(g, n, label="C_{n,1}")
@@ -182,7 +184,7 @@ def build_Cn1(n, ctx):
 def build_repetition(n, ctx):
     """The [n, 1, n] repetition code, generated by 1 + x + ... + x^(n-1)."""
     if n < 1:
-        raise ValueError("repetition code needs n >= 1")
+        raise InvalidArgument(f"repetition code needs n >= 1, got {n}")
     return from_generator(Poly(ctx, [1] * n), n, label="R_n")
 
 
@@ -255,53 +257,18 @@ def direct_sum(a, b):
     return GenMatrix(ma.ctx, np.vstack([top, bot]), n=ma.n + mb.n)
 
 
-# -- exhaustive enumeration kernels -------------------------------------------
-
-def _gray_rows_f2(m):
-    rows = []
-    for r in m.rows:
-        v = 0
-        for j, c in enumerate(map(int, r)):
-            if c:
-                v |= 1 << j
-        rows.append(v)
-    return rows
-
-
-def _min_weight_f2(m):
-    """Gray-code walk: each codeword is one XOR plus a popcount."""
-    rows = _gray_rows_f2(m)
-    k = len(rows)
-    best = m.n + 1
-    cw = 0
-    for i in range(1, 1 << k):
-        cw ^= rows[(i & -i).bit_length() - 1]
-        w = cw.bit_count()
-        if w < best:
-            best = w
-            if best == 1:
-                break
-    return best
-
-
-def _weight_counts_f2(m):
-    rows = _gray_rows_f2(m)
-    k = len(rows)
-    counts = [0] * (m.n + 1)
-    counts[0] = 1
-    cw = 0
-    for i in range(1, 1 << k):
-        cw ^= rows[(i & -i).bit_length() - 1]
-        counts[cw.bit_count()] += 1
-    return counts
-
+# -- exhaustive enumeration ----------------------------------------------------
 
 def _prime_field_expansion(m):
-    """Expand a k x n matrix over F_{p^l} to a (k*l) x (n*l) matrix over F_p."""
+    """Expand a k x n matrix over F_{p^l} to a (k*l) x (n*l) matrix over F_p.
+
+    Entries use the smallest unsigned dtype that holds a sum of two of them,
+    uint8 for every p <= 128.
+    """
     ctx = m.ctx
     p, l, n = ctx.p, ctx.l, m.n
     k = m.num_rows
-    out = np.zeros((k * l, n * l), dtype=np.float64)
+    out = np.zeros((k * l, n * l), dtype=np.min_scalar_type(2 * (p - 1)))
     for r in range(k):
         for s in range(l):
             us = p ** s
@@ -311,25 +278,45 @@ def _prime_field_expansion(m):
     return out
 
 
-def _enumerate_weights(m, include_zero=False):
-    """Yield numpy arrays of codeword weights, chunked over all messages.
+def _weights(m, include_zero):
+    """Yield numpy arrays of codeword weights, one per step, over all messages.
 
     Enumerates the message space over the prime subfield (same codeword set
-    as enumerating F_q^k); weights count nonzero F_q symbols.
+    as enumerating F_q^k); weights count nonzero F_q symbols.  The table has
+    one column per combination t of the leading rows; an odometer walks the
+    combinations s of the others, so t - s meets every codeword once.  A
+    symbol of t - s is zero exactly where t and s have the same digits, so a
+    step is one comparison of the table with s.
     """
-    ctx = m.ctx
-    p, l, n = ctx.p, ctx.l, m.n
-    gp = _prime_field_expansion(m)
-    bigk = gp.shape[0]
-    total = p ** bigk
-    place = np.int64(p) ** np.arange(bigk, dtype=np.int64)
-    start = 0 if include_zero else 1
-    for lo in range(start, total, _CHUNK):
-        idx = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
-        digits = (idx[:, None] // place) % p
-        prod = digits.astype(np.float64) @ gp
-        sym = np.mod(prod, p).reshape(len(idx), n, l)
-        yield np.count_nonzero(sym.any(axis=2), axis=1)
+    p, l, n = m.ctx.p, m.ctx.l, m.n
+    rows = _prime_field_expansion(m)
+    split = 1  # one row even if p > _LOW_TABLE: step 0 needs a nonzero message
+    while split < len(rows) and p ** (split + 1) <= _LOW_TABLE:
+        split += 1
+    table = np.zeros((rows.shape[1], 1), dtype=rows.dtype)
+    for row in rows[:split]:
+        blocks = [table]
+        for _ in range(p - 1):
+            blocks.append((blocks[-1] + row[:, None]) % p)
+        table = np.concatenate(blocks, axis=1)
+    high = rows[split:]
+    digits = [0] * len(high)
+    prefix = np.zeros(rows.shape[1], dtype=rows.dtype)
+    count_dtype = np.min_scalar_type(n)
+    while True:
+        differs = table != prefix[:, None]
+        symbols = differs.reshape(n, l, table.shape[1]).any(axis=1)
+        weights = symbols.sum(axis=0, dtype=count_dtype)
+        if not include_zero and not any(digits):
+            weights = weights[1:]  # column 0 with s = 0 is the zero message
+        yield weights
+        for i, row in enumerate(high):
+            prefix = (prefix + row) % p
+            digits[i] = (digits[i] + 1) % p
+            if digits[i]:
+                break
+        else:
+            return
 
 
 def min_distance(c, budget=DEFAULT_BUDGET):
@@ -338,19 +325,16 @@ def min_distance(c, budget=DEFAULT_BUDGET):
     ctx = m.ctx
     k = m.num_rows
     if k == 0:
-        raise ValueError("the zero code has no minimum distance")
+        raise InvalidArgument("the zero code has no minimum distance")
     count = ctx.q ** k - 1
     if count > budget:
         raise BudgetExceeded(count, budget)
     t0 = time.perf_counter()
-    if ctx.q == 2:
-        best = _min_weight_f2(m)
-    else:
-        best = m.n + 1
-        for weights in _enumerate_weights(m):
-            w = int(weights.min())
-            if w < best:
-                best = w
+    best = m.n
+    for weights in _weights(m, include_zero=False):
+        best = min(best, int(weights.min()))
+        if best == 1:
+            break
     return DistanceReport(
         d=best,
         codewords_enumerated=count,
@@ -366,13 +350,9 @@ def weight_distribution(c, budget=DEFAULT_BUDGET):
     k = m.num_rows
     if ctx.q ** k > budget:
         raise BudgetExceeded(ctx.q ** k, budget)
-    if ctx.q == 2 and k > 0:
-        return _weight_counts_f2(m)
     counts = np.zeros(m.n + 1, dtype=np.int64)
-    counts[0] = 1
-    if k > 0:
-        for weights in _enumerate_weights(m):
-            counts += np.bincount(weights, minlength=m.n + 1)
+    for weights in _weights(m, include_zero=True):
+        counts += np.bincount(weights, minlength=m.n + 1)
     return [int(x) for x in counts]
 
 

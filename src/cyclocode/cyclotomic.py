@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import CharacteristicDividesN, NotCoprime
+from .errors import CharacteristicDividesN, InvalidArgument, NotADivisor, NotCoprime
 from .field import factorize, make_extension, nth_root_of_unity
 from .poly import Poly
 
@@ -36,7 +36,7 @@ class ArithmeticProfile:
 
 def profile(n):
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InvalidArgument(f"n must be >= 1, got {n}")
     fact = tuple(factorize(n))
     phi = n
     for p, _ in fact:
@@ -54,14 +54,10 @@ def profile(n):
     )
 
 
-def euler_phi(n):
-    return profile(n).phi
-
-
 def lpf(n):
     """Least prime factor; n = 1 has none and is rejected."""
     if n < 2:
-        raise ValueError("lpf is undefined for n < 2")
+        raise InvalidArgument(f"lpf is undefined for n < 2, got {n}")
     return profile(n).lpf
 
 
@@ -82,14 +78,15 @@ def _int_divexact(a, b):
     db = len(b) - 1
     quot = [0] * (len(a) - db)
     for i in range(len(a) - 1 - db, -1, -1):
-        c = a[i + db]
-        assert c % b[-1] == 0
-        f = c // b[-1]
+        f, r = divmod(a[i + db], b[-1])
+        if r:
+            raise NotADivisor("integer polynomial division is not exact")
         quot[i] = f
         if f:
             for j, bc in enumerate(b):
                 a[i + j] -= f * bc
-    assert all(c == 0 for c in a)
+    if any(a):
+        raise NotADivisor("integer polynomial division is not exact")
     return quot
 
 
@@ -109,7 +106,7 @@ def cyclotomic_int(n):
 def cyclotomic_poly(n, ctx):
     """Q_n over the given field; requires gcd(n, char) = 1."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InvalidArgument(f"n must be >= 1, got {n}")
     if n % ctx.p == 0:
         raise CharacteristicDividesN(
             f"characteristic {ctx.p} divides n = {n}"

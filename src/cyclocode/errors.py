@@ -5,6 +5,10 @@ class CycloError(Exception):
     """Base class for all library errors."""
 
 
+class InvalidArgument(CycloError, ValueError):
+    """An argument outside its domain, such as n < 1 or a non-element."""
+
+
 class NotPrime(CycloError):
     pass
 

@@ -343,18 +343,6 @@ def _subfield_root(base, big):
     return best
 
 
-def find_primitive_element(ctx):
-    return ctx.primitive_element()
-
-
-def element_order(ctx, a):
-    return ctx.element_order(a)
-
-
-def inv(ctx, a):
-    return ctx.inv(a)
-
-
 def nth_root_of_unity(ctx, n):
     """The canonical primitive n-th root of unity gamma^((q-1)/n)."""
     if n < 1 or (ctx.q - 1) % n != 0:

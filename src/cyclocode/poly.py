@@ -8,10 +8,12 @@ schoolbook and exact -- lengths here stay in the hundreds.
 from .errors import (
     ContextMismatch,
     DivisionByZero,
+    InvalidArgument,
     OrderSearchTooLarge,
     UnitPolynomial,
     ZeroPolynomial,
 )
+from .field import is_prime
 
 # poly_order gives up after this many incremental steps.
 ORDER_SCAN_LIMIT = 1 << 24
@@ -21,11 +23,14 @@ class Poly:
     __slots__ = ("ctx", "coeffs")
 
     def __init__(self, ctx, coeffs):
-        # normalize: reduce prime-field ints given as plain ints, strip zeros
+        # normalize: reduce prime-field ints given as plain ints, strip zeros;
+        # an extension-field coefficient must already be an encoding in [0, q)
         if ctx.l == 1:
             cs = [c % ctx.p for c in coeffs]
         else:
             cs = list(coeffs)
+            if cs and (min(cs) < 0 or max(cs) >= ctx.q):
+                raise InvalidArgument(f"coefficients {cs} are not all in {ctx!r}")
         while cs and cs[-1] == 0:
             cs.pop()
         self.ctx = ctx
@@ -226,16 +231,12 @@ def is_irreducible(f):
     # x^(q^m) == x (mod f)
     if x.pow_mod(q ** m, f) != x % f:
         return False
-    primes = {r for r in range(2, m + 1) if m % r == 0 and _is_prime_small(r)}
+    primes = {r for r in range(2, m + 1) if m % r == 0 and is_prime(r)}
     for r in primes:
         h = x.pow_mod(q ** (m // r), f) - (x % f)
         if h.gcd(f).degree != 0:
             return False
     return True
-
-
-def _is_prime_small(n):
-    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
 
 
 def poly_order(f):

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field as dc_field
 from . import codes, tensor
 from .cyclotomic import profile, verify_factorization
 from .errors import BudgetExceeded, ConfigInvalid
-from .field import parse_field
+from .field import is_prime, parse_field
 from .report import THEOREM_IDS, VerificationRecord
 
 DEFAULT_FIELDS = ["2", "3", "2^2", "5", "7", "2^3", "3^2"]
@@ -70,11 +70,6 @@ class SweepConfig:
         return cls.from_dict(data)
 
 
-def _is_prime_n(n):
-    pr = profile(n)
-    return pr.omega == 1 and pr.factorization[0][1] == 1
-
-
 def _coprime_split(n):
     """Canonical split n = p1^a1 * rest with coprime factors > 1, or None."""
     pr = profile(n)
@@ -127,7 +122,7 @@ def _run_row(theorem, q, n, ctx, budget):
             status="pass" if ok else "fail",
             elapsed=time.perf_counter() - t0,
         )
-    if theorem in ("CN1-DIST", "CN1-DUAL-SUM") and _is_prime_n(n):
+    if theorem in ("CN1-DIST", "CN1-DUAL-SUM") and is_prime(n):
         return VerificationRecord(
             theorem_id=theorem, q=q, n=n, status="n/a", note="n is prime"
         )
@@ -203,7 +198,7 @@ def _conjecture_rows(ctx, n, budget):
                 note="gcd(n, q) != 1",
             )
         ]
-    if _is_prime_n(n):
+    if is_prime(n):
         return [
             VerificationRecord(
                 theorem_id="CONJECTURE-CN1-DUAL",

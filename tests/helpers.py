@@ -2,10 +2,12 @@
 
 Everything here enumerates codewords the slow, obvious way (itertools over
 message tuples, scalar field ops) so it shares no code path with the
-Gray/chunked kernels it validates.
+enumeration engine it validates.  The MacWilliams transform is exact integer
+arithmetic on weight distributions.
 """
 
 import itertools
+import math
 
 from cyclocode.codes import _as_matrix
 
@@ -39,3 +41,30 @@ def naive_weight_distribution(obj):
     for word in all_codewords(obj):
         counts[sum(1 for c in word if c)] += 1
     return counts
+
+
+def krawtchouk(j, i, n, q):
+    """K_j(i) = sum_s (-1)^s (q-1)^(j-s) C(i, s) C(n-i, j-s) for length n over F_q."""
+    return sum(
+        (-1) ** s * (q - 1) ** (j - s) * math.comb(i, s) * math.comb(n - i, j - s)
+        for s in range(j + 1)
+    )
+
+
+def macwilliams(weights, q):
+    """Weight distribution of the dual code from that of the code, exactly.
+
+    B_j = (1 / |C|) sum_i A_i K_j(i)  (MacWilliams & Sloane, The Theory of
+    Error-Correcting Codes, ch. 5).  Raises if a B_j is not an integer, which
+    no linear code's distribution allows.
+    """
+    n = len(weights) - 1
+    size = sum(weights)
+    out = []
+    for j in range(n + 1):
+        total = sum(a * krawtchouk(j, i, n, q) for i, a in enumerate(weights))
+        b, rem = divmod(total, size)
+        if rem:
+            raise ValueError(f"B_{j} = {total}/{size} is not an integer")
+        out.append(b)
+    return out

@@ -2,10 +2,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import naive_min_distance, naive_weight_distribution
+from helpers import macwilliams, naive_min_distance, naive_weight_distribution
 
 from cyclocode.codes import (
+    _LOW_TABLE,
     GenMatrix,
     build_Cn,
     build_Cn1,
@@ -202,15 +204,20 @@ def test_min_distance_budget():
     assert exc.value.required == 127
 
 
+def _cyclic_code(ctx, n, reps):
+    """The code generated by the product of M^(s) over coset representatives s."""
+    g = Poly.one(ctx)
+    for s in reps:
+        g = g * minimal_poly(s, n, ctx)
+    return from_generator(g, n)
+
+
 def _random_divisor_code(rng, ctx, n):
     reps = [c.representative for c in cosets(n, ctx.q)]
     chosen = [s for s in reps if rng.random() < 0.5]
     if not chosen or len(chosen) == len(reps):
         chosen = reps[:1]
-    g = Poly.one(ctx)
-    for s in chosen:
-        g = g * minimal_poly(s, n, ctx)
-    return from_generator(g, n)
+    return _cyclic_code(ctx, n, chosen)
 
 
 @pytest.mark.parametrize("literal,lengths", [("2", [7, 9, 15]), ("3", [8, 10, 13]), ("5", [6, 8, 12]), ("2^2", [5, 9, 15])])
@@ -223,6 +230,52 @@ def test_min_distance_matches_naive_oracle(literal, lengths):
             if ctx.q ** c.k > 1 << 14:
                 continue
             assert min_distance(c).d == naive_min_distance(c)
+
+
+# [21, 14, 4], [13, 9, 3], [13, 7, 5] and [8, 5, 3] codes: each has more
+# messages than the enumeration table, so the walk takes high-row steps.
+@pytest.mark.parametrize(
+    "literal,n,reps",
+    [("2", 21, (0, 1)), ("3", 13, (0, 1)), ("2^2", 13, (1,)), ("3^2", 8, (0, 1, 3))],
+)
+def test_enumeration_beyond_low_table_matches_naive_oracle(literal, n, reps):
+    ctx = parse_field(literal)
+    c = _cyclic_code(ctx, n, reps)
+    assert ctx.q ** c.k > _LOW_TABLE
+    assert min_distance(c).d == naive_min_distance(c)
+    assert weight_distribution(c) == naive_weight_distribution(c)
+
+
+# Duals of small codes: each walk has two or more high rows, so it carries.
+@pytest.mark.parametrize(
+    "literal,n,free",
+    [("2", 21, (7,)), ("3", 16, (0, 8)), ("2^2", 15, (0, 1)), ("3^2", 10, (0, 1))],
+)
+def test_high_row_walk_matches_macwilliams_of_small_dual(literal, n, free):
+    ctx = parse_field(literal)
+    reps = [c.representative for c in cosets(n, ctx.q)]
+    small = _cyclic_code(ctx, n, [s for s in reps if s not in free])
+    big = dual(small)
+    assert ctx.q ** big.k > _LOW_TABLE * ctx.p
+    expected = macwilliams(naive_weight_distribution(small), ctx.q)
+    assert weight_distribution(big) == expected
+    assert min_distance(big).d == next(w for w in range(1, n + 1) if expected[w])
+
+
+@st.composite
+def _divisor_codes(draw):
+    """A cyclic code with q^n <= 2^16, so the code and its dual both enumerate."""
+    ctx = parse_field(draw(st.sampled_from(["2", "3", "2^2", "5", "3^2"])))
+    lengths = [n for n in range(2, 17) if n % ctx.p and ctx.q ** n <= 1 << 16]
+    n = draw(st.sampled_from(lengths))
+    reps = [c.representative for c in cosets(n, ctx.q)]
+    return _cyclic_code(ctx, n, draw(st.lists(st.sampled_from(reps), unique=True)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_divisor_codes())
+def test_weight_distribution_obeys_macwilliams(c):
+    assert macwilliams(weight_distribution(c), c.ctx.q) == weight_distribution(dual(c))
 
 
 def test_low_order_generator_gives_distance_at_most_2():

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from cyclocode.cyclotomic import (
+    _int_divexact,
     cosets,
     cyclotomic_int,
     cyclotomic_poly,
@@ -12,7 +13,7 @@ from cyclocode.cyclotomic import (
     profile,
     verify_factorization,
 )
-from cyclocode.errors import CharacteristicDividesN, NotCoprime
+from cyclocode.errors import CharacteristicDividesN, CycloError, NotADivisor, NotCoprime
 from cyclocode.field import make_prime_field, parse_field
 from cyclocode.poly import Poly, is_irreducible, poly_order
 
@@ -38,6 +39,20 @@ def test_lpf_rejects_one():
     with pytest.raises(ValueError):
         lpf(1)
     assert lpf(15) == 3
+
+
+def test_n_checks_raise_library_errors():
+    for call in (lambda: lpf(1), lambda: profile(0), lambda: cyclotomic_poly(0, F2)):
+        with pytest.raises(CycloError):
+            call()
+
+
+def test_int_divexact_rejects_inexact_division():
+    assert _int_divexact([-1, 0, 1], [-1, 1]) == [1, 1]
+    with pytest.raises(NotADivisor):
+        _int_divexact([1, 0, 1], [1, 1])  # x^2 + 1 = (x + 1)(x - 1) + 2
+    with pytest.raises(NotADivisor):
+        _int_divexact([1, 1], [1, 2])  # leading coefficient does not divide
 
 
 def test_cyclotomic_first_cases():

@@ -9,9 +9,6 @@ from cyclocode.errors import (
     NotPrime,
 )
 from cyclocode.field import (
-    element_order,
-    find_primitive_element,
-    inv,
     make_extension,
     make_prime_field,
     nth_root_of_unity,
@@ -38,9 +35,9 @@ def test_make_prime_field_rejects_composites(bad):
 
 
 def test_inverse_examples():
-    assert inv(make_prime_field(5), 2) == 3
-    assert inv(make_prime_field(7), 3) == 5
-    assert inv(make_prime_field(2), 1) == 1
+    assert make_prime_field(5).inv(2) == 3
+    assert make_prime_field(7).inv(3) == 5
+    assert make_prime_field(2).inv(1) == 1
 
 
 def test_inverse_of_zero_rejected():
@@ -49,19 +46,19 @@ def test_inverse_of_zero_rejected():
 
 
 def test_primitive_elements():
-    assert find_primitive_element(make_prime_field(5)) == 2
-    assert find_primitive_element(make_prime_field(2)) == 1
+    assert make_prime_field(5).primitive_element() == 2
+    assert make_prime_field(2).primitive_element() == 1
     # 2 has order 3 mod 7, so 3 is the smallest generator
-    assert find_primitive_element(make_prime_field(7)) == 3
+    assert make_prime_field(7).primitive_element() == 3
 
 
 def test_element_order_examples():
     f7 = make_prime_field(7)
-    assert element_order(f7, 2) == 3
-    assert element_order(f7, 1) == 1
-    assert element_order(make_prime_field(5), 4) == 2
+    assert f7.element_order(2) == 3
+    assert f7.element_order(1) == 1
+    assert make_prime_field(5).element_order(4) == 2
     with pytest.raises(DivisionByZero):
-        element_order(f7, 0)
+        f7.element_order(0)
 
 
 @pytest.mark.parametrize("literal", ["2", "3", "5", "2^2", "2^3", "3^2", "2^4"])

@@ -5,6 +5,7 @@ import pytest
 
 from cyclocode.errors import (
     ContextMismatch,
+    CycloError,
     DivisionByZero,
     UnitPolynomial,
     ZeroPolynomial,
@@ -152,3 +153,12 @@ def test_eval_context_mismatch():
     ext = make_extension(F3, 2)
     with pytest.raises(ContextMismatch):
         Poly(F2, [1, 1]).eval(1, ext=ext)
+
+
+def test_extension_coefficients_must_be_elements():
+    f4 = parse_field("2^2")
+    for bad in ([7, 1], [4, 1], [-1, 1]):
+        with pytest.raises(CycloError):
+            Poly(f4, bad)
+    assert Poly(f4, [3, 1]).coeffs == (3, 1)
+    assert Poly(F5, [7, -1]).coeffs == (2, 4)  # prime fields reduce plain ints

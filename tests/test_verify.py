@@ -188,3 +188,20 @@ def test_cli_conjecture_run(capsys):
     rows = json.loads(capsys.readouterr().out)
     assert any(r["status"] == "observed" for r in rows)
     assert not any(r["status"] == "fail" for r in rows)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cyclo", "--n", "0", "--field", "2"],
+        ["code", "mindist", "--n", "1", "--field", "2"],
+        ["code", "mindist", "--n", "2", "--field", "2", "--gen", "[1, 0, 1]"],
+        ["code", "build", "--n", "3", "--field", "2^2", "--gen", "[7, 1]"],
+    ],
+    ids=["cyclo-n0", "mindist-n1", "mindist-zero-code", "build-non-element"],
+)
+def test_cli_bad_arguments_exit_1_without_traceback(argv, capsys):
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
