@@ -37,6 +37,6 @@ from .field import (  # noqa: F401
 )
 from .poly import Poly, is_irreducible, order_divides, poly_order, reciprocal  # noqa: F401
 from .tensor import CrtMap, apply_psi, crt_map, kronecker, product_code  # noqa: F401
-from .verify import SweepConfig, conjecture_check, sweep  # noqa: F401
+from .verify import SweepConfig, sweep  # noqa: F401
 
 __version__ = "0.1.0"

@@ -5,7 +5,7 @@ Verbs:
   code {build,dual,mindist,weights,zeros} code construction and diagnostics
   verify sweep --config FILE              batch theorem verification
   verify tensor --n1 A --n2 B --field Q   single CRT-equivalence check
-  conjecture run [--config FILE]          observed rows for the open question
+  conjecture run [--config FILE]          the sweep restricted to CONJECTURE-CN1-DUAL
 
 Exit codes: 0 = no failing record, 1 = at least one fail, 2 = config error.
 """
@@ -16,17 +16,22 @@ import sys
 
 from . import codes
 from .cyclotomic import cyclotomic_poly, profile
-from .errors import ConfigInvalid, CycloError
+from .errors import ConfigInvalid, CycloError, InvalidArgument
 from .field import parse_field
 from .poly import Poly
 from .report import emit_report
 from .tensor import verify_tensor_dual
-from .verify import SweepConfig, conjecture_check, sweep
+from .verify import SweepConfig, sweep
 
 
 def _build_code(args, ctx):
     if args.gen:
-        coeffs = json.loads(args.gen)
+        try:
+            coeffs = json.loads(args.gen)
+        except json.JSONDecodeError as exc:
+            raise InvalidArgument(f"--gen is not valid JSON: {exc}") from None
+        if not isinstance(coeffs, list) or {type(c) for c in coeffs} - {int}:
+            raise InvalidArgument(f"--gen must be a JSON list of integers: {args.gen}")
         return codes.from_generator(Poly(ctx, coeffs), args.n, label="custom")
     if args.kind == "cn":
         return codes.build_Cn(args.n, ctx)
@@ -97,7 +102,8 @@ def _cmd_conjecture(args):
         cfg = SweepConfig.from_file(args.config)
     else:
         cfg = SweepConfig(n_range=(2, args.n_max))
-    records = conjecture_check(cfg)
+    cfg.theorems = ["CONJECTURE-CN1-DUAL"]  # a config file's theorems do not apply
+    records = sweep(cfg)
     return _finish(
         records, args.output or cfg.output, args.format or cfg.format,
         args.deterministic,

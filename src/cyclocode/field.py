@@ -12,6 +12,7 @@ from functools import lru_cache
 from .errors import (
     DegreeTooLarge,
     DivisionByZero,
+    InvalidArgument,
     NotCompatible,
     NotPrime,
 )
@@ -353,11 +354,13 @@ def nth_root_of_unity(ctx, n):
 def parse_field(literal):
     """Field literal: "5" for F_5, "2^3" for F_8."""
     s = str(literal).strip()
-    if "^" in s:
-        p_str, l_str = s.split("^", 1)
-        p, l = int(p_str), int(l_str)
-    else:
-        p, l = int(s), 1
+    p_str, caret, l_str = s.partition("^")
+    try:
+        p, l = int(p_str), int(l_str) if caret else 1
+    except ValueError:
+        raise InvalidArgument(f"field literal {s!r} is not p or p^l") from None
+    if l < 1:
+        raise InvalidArgument(f"field literal {s!r} needs an exponent l >= 1")
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if p ** l > CONTEXT_LIMIT:

@@ -1,4 +1,9 @@
-"""Batch verification sweeps over (field, n) grids."""
+"""Batch verification sweeps over (field, n) grids.
+
+`sweep` makes one record per (field, n, theorem id). A theorem that does not
+apply at (q, n) gives an `n/a` row; otherwise the theorem's check in
+`_CHECKS` measures it and returns (claimed, measured, status, note).
+"""
 
 import json
 import math
@@ -13,6 +18,31 @@ from .report import THEOREM_IDS, VerificationRecord
 
 DEFAULT_FIELDS = ["2", "3", "2^2", "5", "7", "2^3", "3^2"]
 DEFAULT_THEOREMS = [t for t in THEOREM_IDS if t != "CONJECTURE-CN1-DUAL"]
+# C_{n,1} is the zero code at prime n.
+_COMPOSITE_ONLY = ("CN1-DIST", "CN1-DUAL-SUM", "CONJECTURE-CN1-DUAL")
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_str(v):
+    return isinstance(v, str)
+
+
+def _list_of(ok):
+    return lambda v: isinstance(v, (list, tuple)) and all(map(ok, v))
+
+
+# Each config key, the test its value must pass, and what that value must be.
+_CONFIG_TYPES = {
+    "fields": (_list_of(lambda f: _is_str(f) or _is_int(f)), "a list of fields"),
+    "n_range": (lambda v: _list_of(_is_int)(v) and len(v) == 2, "two integers"),
+    "budget": (_is_int, "an integer"),
+    "output": (lambda v: v is None or _is_str(v), "a path"),
+    "format": (_is_str, "a string"),
+    "theorems": (_list_of(_is_str), "a list of theorem ids"),
+}
 
 
 @dataclass
@@ -44,14 +74,16 @@ class SweepConfig:
 
     @classmethod
     def from_dict(cls, d):
-        known = {"fields", "n_range", "budget", "output", "format", "theorems"}
-        extra = set(d) - known
+        extra = set(d) - set(_CONFIG_TYPES)
         if extra:
             raise ConfigInvalid(f"unknown config keys: {sorted(extra)}")
+        for key, (ok, kind) in _CONFIG_TYPES.items():
+            if key in d and not ok(d[key]):
+                raise ConfigInvalid(f"{key} must be {kind}, got {d[key]!r}")
         cfg = cls(
             fields=[str(f) for f in d.get("fields", DEFAULT_FIELDS)],
             n_range=tuple(d.get("n_range", (2, 30))),
-            budget=int(d.get("budget", codes.DEFAULT_BUDGET)),
+            budget=d.get("budget", codes.DEFAULT_BUDGET),
             output=d.get("output"),
             format=d.get("format", "csv"),
             theorems=list(d.get("theorems", DEFAULT_THEOREMS)),
@@ -70,183 +102,134 @@ class SweepConfig:
         return cls.from_dict(data)
 
 
-def _coprime_split(n):
+def _coprime_split(pr):
     """Canonical split n = p1^a1 * rest with coprime factors > 1, or None."""
-    pr = profile(n)
     if pr.omega < 2:
         return None
     p1, a1 = pr.factorization[0]
     n1 = p1 ** a1
-    return n1, n // n1
+    return n1, pr.n // n1
 
 
-def _measure_distance(obj, budget):
+def _distance_row(code, claimed, budget, proved=True):
+    """Compare the (n, k, d) of code with claimed.
+
+    A wrong n or k fails. A distance beyond the budget is `skipped`. A proved
+    distance passes or fails; an open one is only `observed`.
+    """
     try:
-        return codes.min_distance(obj, budget=budget).d, None
+        d, note = codes.min_distance(code, budget=budget).d, ""
     except BudgetExceeded as exc:
-        return None, f"distance skipped (needs {exc.required} codewords)"
-
-
-def _check_distance_theorem(theorem, n, ctx, budget):
-    pr = profile(n)
-    if theorem == "CN-DIST":
-        code = codes.build_Cn(n, ctx)
-        claimed = (n, n - pr.phi, pr.lpf)
-    elif theorem == "CN1-DIST":
-        code = codes.build_Cn1(n, ctx)
-        claimed = (n, n - pr.phi - 1, 2 * pr.lpf)
-    else:  # CN-DUAL-DIST
-        code = codes.dual(codes.build_Cn(n, ctx))
-        claimed = (n, pr.phi, 2 ** pr.omega)
-    d, note = _measure_distance(code, budget)
+        d, note = None, f"distance skipped (needs {exc.required} codewords)"
     measured = (code.n, code.k, d)
-    if d is None:
-        status = "skipped" if measured[:2] == claimed[:2] else "fail"
-    else:
-        status = "pass" if measured == claimed else "fail"
-    return claimed, measured, status, note or ""
-
-
-def _run_row(theorem, q, n, ctx, budget):
-    t0 = time.perf_counter()
-    if math.gcd(n, q) != 1:
-        return VerificationRecord(
-            theorem_id=theorem, q=q, n=n, status="n/a", note="gcd(n, q) != 1"
-        )
-    if theorem == "FACTORIZATION":
-        ok = verify_factorization(n, ctx)
-        return VerificationRecord(
-            theorem_id=theorem,
-            q=q,
-            n=n,
-            status="pass" if ok else "fail",
-            elapsed=time.perf_counter() - t0,
-        )
-    if theorem in ("CN1-DIST", "CN1-DUAL-SUM") and is_prime(n):
-        return VerificationRecord(
-            theorem_id=theorem, q=q, n=n, status="n/a", note="n is prime"
-        )
-    if theorem in ("CN-DIST", "CN1-DIST", "CN-DUAL-DIST"):
-        claimed, measured, status, note = _check_distance_theorem(
-            theorem, n, ctx, budget
-        )
-        return VerificationRecord(
-            theorem_id=theorem,
-            q=q,
-            n=n,
-            claimed=claimed,
-            measured=measured,
-            status=status,
-            elapsed=time.perf_counter() - t0,
-            note=note,
-        )
-    if theorem == "CN1-DUAL-SUM":
-        lhs = codes.sum_codes(
-            codes.dual(codes.build_Cn(n, ctx)), codes.build_repetition(n, ctx)
-        )
-        rhs = codes.dual(codes.build_Cn1(n, ctx))
-        ok = codes.same_code(lhs, rhs)
-        pr = profile(n)
-        return VerificationRecord(
-            theorem_id=theorem,
-            q=q,
-            n=n,
-            claimed=(n, pr.phi + 1, None),
-            measured=(n, lhs.num_rows, None),
-            status="pass" if ok and lhs.num_rows == pr.phi + 1 else "fail",
-            elapsed=time.perf_counter() - t0,
-        )
-    if theorem == "TENSOR-EQUIV":
-        split = _coprime_split(n)
-        if split is None:
-            return VerificationRecord(
-                theorem_id=theorem,
-                q=q,
-                n=n,
-                status="n/a",
-                note="no coprime factorization",
-            )
-        return tensor.verify_tensor_dual(split[0], split[1], ctx, budget=budget)
-    raise ConfigInvalid(f"unknown theorem {theorem!r}")
-
-
-def sweep(cfg):
-    """One record per (theorem, field, n) in deterministic order."""
-    cfg.validate()
-    records = []
-    lo, hi = cfg.n_range
-    for lit in cfg.fields:
-        ctx = parse_field(lit)
-        for n in range(lo, hi + 1):
-            for theorem in cfg.theorems:
-                if theorem == "CONJECTURE-CN1-DUAL":
-                    records.extend(_conjecture_rows(ctx, n, cfg.budget))
-                    continue
-                records.append(_run_row(theorem, ctx.q, n, ctx, cfg.budget))
-    return records
-
-
-def _conjecture_rows(ctx, n, budget):
-    q = ctx.q
-    if math.gcd(n, q) != 1:
-        return [
-            VerificationRecord(
-                theorem_id="CONJECTURE-CN1-DUAL",
-                q=q,
-                n=n,
-                status="n/a",
-                note="gcd(n, q) != 1",
-            )
-        ]
-    if is_prime(n):
-        return [
-            VerificationRecord(
-                theorem_id="CONJECTURE-CN1-DUAL",
-                q=q,
-                n=n,
-                status="n/a",
-                note="n is prime",
-            )
-        ]
-    t0 = time.perf_counter()
-    pr = profile(n)
-    dual_cn1 = codes.dual(codes.build_Cn1(n, ctx))
-    lemma_ok = codes.same_code(
-        codes.sum_codes(
-            codes.dual(codes.build_Cn(n, ctx)), codes.build_repetition(n, ctx)
-        ),
-        dual_cn1,
-    )
-    conjectured = (n, pr.phi + 1, 2 ** pr.omega)
-    d, note = _measure_distance(dual_cn1, budget)
-    measured = (dual_cn1.n, dual_cn1.k, d)
-    if not lemma_ok or measured[:2] != conjectured[:2]:
+    if measured[:2] != claimed[:2]:
         status = "fail"
     elif d is None:
         status = "skipped"
-    else:
+    elif not proved:
         status = "observed"
-    return [
-        VerificationRecord(
-            theorem_id="CONJECTURE-CN1-DUAL",
-            q=q,
-            n=n,
-            claimed=conjectured,
-            measured=measured,
-            status=status,
-            elapsed=time.perf_counter() - t0,
-            note=note or "",
-        )
-    ]
+    else:
+        status = "pass" if d == claimed[2] else "fail"
+    return claimed, measured, status, note
 
 
-def conjecture_check(cfg):
-    """Observed-only rows for the open dual-of-C_{n,1} distance question."""
+def _dual_sum_lemma(ctx, n):
+    """(dual(C_n) + R_n, dual(C_{n,1}), whether the two codes are equal)."""
+    lhs = codes.sum_codes(
+        codes.dual(codes.build_Cn(n, ctx)), codes.build_repetition(n, ctx)
+    )
+    rhs = codes.dual(codes.build_Cn1(n, ctx))
+    return lhs, rhs, codes.same_code(lhs, rhs)
+
+
+def _cn_dist(ctx, pr, budget):
+    claimed = (pr.n, pr.n - pr.phi, pr.lpf)
+    return _distance_row(codes.build_Cn(pr.n, ctx), claimed, budget)
+
+
+def _cn1_dist(ctx, pr, budget):
+    claimed = (pr.n, pr.n - pr.phi - 1, 2 * pr.lpf)
+    return _distance_row(codes.build_Cn1(pr.n, ctx), claimed, budget)
+
+
+def _cn_dual_dist(ctx, pr, budget):
+    claimed = (pr.n, pr.phi, 2 ** pr.omega)
+    return _distance_row(codes.dual(codes.build_Cn(pr.n, ctx)), claimed, budget)
+
+
+def _tensor_equiv(ctx, pr, budget):
+    rec = tensor.verify_tensor_dual(*_coprime_split(pr), ctx, budget=budget)
+    return rec.claimed, rec.measured, rec.status, rec.note
+
+
+def _cn1_dual_sum(ctx, pr, budget):
+    lhs, _, equal = _dual_sum_lemma(ctx, pr.n)
+    k = pr.phi + 1
+    status = "pass" if equal and lhs.num_rows == k else "fail"
+    return (pr.n, k, None), (pr.n, lhs.num_rows, None), status, ""
+
+
+def _factorization(ctx, pr, budget):
+    status = "pass" if verify_factorization(pr.n, ctx) else "fail"
+    return (None, None, None), (None, None, None), status, ""
+
+
+def _conjecture_cn1_dual(ctx, pr, budget):
+    _, dual_cn1, lemma_ok = _dual_sum_lemma(ctx, pr.n)
+    claimed, measured, status, note = _distance_row(
+        dual_cn1, (pr.n, pr.phi + 1, 2 ** pr.omega), budget, proved=False
+    )
+    return claimed, measured, status if lemma_ok else "fail", note
+
+
+# (ctx, profile of n, budget) -> (claimed, measured, status, note)
+_CHECKS = {
+    "CN-DIST": _cn_dist,
+    "CN1-DIST": _cn1_dist,
+    "CN-DUAL-DIST": _cn_dual_dist,
+    "TENSOR-EQUIV": _tensor_equiv,
+    "CN1-DUAL-SUM": _cn1_dual_sum,
+    "FACTORIZATION": _factorization,
+    "CONJECTURE-CN1-DUAL": _conjecture_cn1_dual,
+}
+
+
+def _not_applicable(theorem, q, pr):
+    """Why theorem does not apply at (q, n), or None when it does."""
+    if math.gcd(pr.n, q) != 1:
+        return "gcd(n, q) != 1"
+    if theorem in _COMPOSITE_ONLY and is_prime(pr.n):
+        return "n is prime"
+    if theorem == "TENSOR-EQUIV" and _coprime_split(pr) is None:
+        return "no coprime factorization"
+    return None
+
+
+def sweep(cfg):
+    """One record per (field, n, theorem), ordered by field, then n, then theorem."""
     cfg.validate()
     records = []
     lo, hi = cfg.n_range
     for lit in cfg.fields:
         ctx = parse_field(lit)
         for n in range(lo, hi + 1):
-            records.extend(_conjecture_rows(ctx, n, cfg.budget))
+            pr = profile(n)
+            for theorem in cfg.theorems:
+                reason = _not_applicable(theorem, ctx.q, pr)
+                if reason:
+                    records.append(
+                        VerificationRecord(theorem, ctx.q, n, status="n/a", note=reason)
+                    )
+                    continue
+                t0 = time.perf_counter()
+                claimed, measured, status, note = _CHECKS[theorem](ctx, pr, cfg.budget)
+                split = _coprime_split(pr) if theorem == "TENSOR-EQUIV" else None
+                n1, n2 = split or (None, None)
+                records.append(
+                    VerificationRecord(
+                        theorem_id=theorem, q=ctx.q, n=n, n1=n1, n2=n2,
+                        claimed=claimed, measured=measured, status=status,
+                        elapsed=time.perf_counter() - t0, note=note,
+                    )
+                )
     return records

@@ -30,7 +30,7 @@ from cyclocode.cyclotomic import (
 from cyclocode.field import make_prime_field, parse_field
 from cyclocode.poly import Poly, poly_order
 from cyclocode.tensor import apply_psi, crt_map, product_code
-from cyclocode.verify import SweepConfig, conjecture_check
+from cyclocode.verify import SweepConfig, sweep
 
 FIELD_SET = ["2", "3", "2^2", "5", "7", "2^3", "3^2"]
 
@@ -178,8 +178,10 @@ def test_criterion_7_structural_invariants():
 
 
 def test_criterion_8_conjecture_observed_only():
-    cfg = SweepConfig(fields=FIELD_SET, n_range=(2, 24))
-    records = conjecture_check(cfg)
+    cfg = SweepConfig(
+        fields=FIELD_SET, n_range=(2, 24), theorems=["CONJECTURE-CN1-DUAL"]
+    )
+    records = sweep(cfg)
     observed = 0
     for rec in records:
         assert rec.status in ("observed", "skipped", "n/a"), (

@@ -3,13 +3,16 @@ import json
 import pytest
 
 from cyclocode.cli import main as cli_main
+from cyclocode.codes import DEFAULT_BUDGET, build_Cn
 from cyclocode.errors import ConfigInvalid
+from cyclocode.field import make_prime_field
 from cyclocode.report import (
     CSV_COLUMNS,
+    THEOREM_IDS,
     VerificationRecord,
     emit_report,
 )
-from cyclocode.verify import SweepConfig, conjecture_check, sweep
+from cyclocode.verify import SweepConfig, _distance_row, sweep
 
 
 def test_sweep_cn_dist_f2():
@@ -42,7 +45,7 @@ def test_sweep_cn1_prime_is_na():
 
 
 def test_sweep_no_silent_gaps():
-    cfg = SweepConfig(fields=["2", "3"], n_range=(2, 12))
+    cfg = SweepConfig(fields=["2", "3"], n_range=(2, 12), theorems=list(THEOREM_IDS))
     records = sweep(cfg)
     seen = {}
     for r in records:
@@ -57,9 +60,30 @@ def test_sweep_no_silent_gaps():
     assert not [r for r in records if r.status == "fail"]
 
 
+@pytest.mark.parametrize(
+    "claimed, budget, proved, status",
+    [
+        ((15, 7, 3), DEFAULT_BUDGET, True, "pass"),
+        ((15, 7, 4), DEFAULT_BUDGET, True, "fail"),
+        ((15, 8, 3), DEFAULT_BUDGET, True, "fail"),
+        ((15, 7, 4), DEFAULT_BUDGET, False, "observed"),
+        ((15, 8, 3), DEFAULT_BUDGET, False, "fail"),
+        ((15, 7, 3), 10, True, "skipped"),
+        ((15, 8, 3), 10, True, "fail"),
+    ],
+)
+def test_distance_row_status(claimed, budget, proved, status):
+    code = build_Cn(15, make_prime_field(2))  # [15, 7, 3]
+    _, measured, got, _ = _distance_row(code, claimed, budget, proved=proved)
+    assert got == status
+    assert measured == (15, 7, None if budget == 10 else 3)
+
+
 def test_conjecture_rows():
-    cfg = SweepConfig(fields=["2"], n_range=(2, 15))
-    records = conjecture_check(cfg)
+    cfg = SweepConfig(
+        fields=["2"], n_range=(2, 15), theorems=["CONJECTURE-CN1-DUAL"]
+    )
+    records = sweep(cfg)
     by_n = {r.n: r for r in records}
     assert by_n[15].status == "observed"
     assert by_n[15].claimed == (15, 9, 4)
@@ -182,12 +206,48 @@ def test_cli_bad_config_exit_2(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"n_range": "2,30"},
+        {"n_range": [2, 3, 4]},
+        {"n_range": [2.0, 5]},
+        {"budget": "lots"},
+        {"budget": 1.5},
+        {"budget": True},
+        {"fields": "23"},
+        {"fields": [2.0]},
+        {"fields": ["abc"]},
+        {"theorems": "CN-DIST"},
+        {"output": 5},
+    ],
+)
+def test_cli_config_types_exit_2(config, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert cli_main(["verify", "sweep", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ")
+
+
 def test_cli_conjecture_run(capsys):
     rc = cli_main(["conjecture", "run", "--n-max", "10"])
     assert rc == 0
     rows = json.loads(capsys.readouterr().out)
     assert any(r["status"] == "observed" for r in rows)
     assert not any(r["status"] == "fail" for r in rows)
+
+
+def test_cli_conjecture_run_ignores_config_theorems(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "fields": ["2"], "n_range": [2, 10], "theorems": ["CN-DIST", "FACTORIZATION"],
+    }))
+    assert cli_main(["conjecture", "run", "--config", str(cfg)]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [r["n"] for r in rows] == list(range(2, 11))
+    assert {r["theorem_id"] for r in rows} == {"CONJECTURE-CN1-DUAL"}
 
 
 @pytest.mark.parametrize(
@@ -197,8 +257,19 @@ def test_cli_conjecture_run(capsys):
         ["code", "mindist", "--n", "1", "--field", "2"],
         ["code", "mindist", "--n", "2", "--field", "2", "--gen", "[1, 0, 1]"],
         ["code", "build", "--n", "3", "--field", "2^2", "--gen", "[7, 1]"],
+        ["code", "build", "--n", "4", "--field", "5", "--gen", "[4.5, 1]"],
+        ["code", "build", "--n", "3", "--field", "2^2", "--gen", '["a", 1]'],
+        ["code", "build", "--n", "4", "--field", "5", "--gen", "3"],
+        ["code", "build", "--n", "4", "--field", "5", "--gen", "[1,"],
+        ["code", "build", "--n", "4", "--field", "abc"],
+        ["code", "build", "--n", "4", "--field", "2^x"],
+        ["code", "build", "--n", "4", "--field", "2^0"],
     ],
-    ids=["cyclo-n0", "mindist-n1", "mindist-zero-code", "build-non-element"],
+    ids=[
+        "cyclo-n0", "mindist-n1", "mindist-zero-code", "build-non-element",
+        "gen-float", "gen-string", "gen-not-list", "gen-bad-json",
+        "field-abc", "field-bad-exponent", "field-zero-exponent",
+    ],
 )
 def test_cli_bad_arguments_exit_1_without_traceback(argv, capsys):
     assert cli_main(argv) == 1
