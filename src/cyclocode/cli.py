@@ -19,7 +19,7 @@ from .cyclotomic import cyclotomic_poly, profile
 from .errors import ConfigInvalid, CycloError, InvalidArgument
 from .field import parse_field
 from .poly import Poly
-from .report import emit_report
+from .report import emit_report, zero_elapsed
 from .tensor import verify_tensor_dual
 from .verify import SweepConfig, sweep
 
@@ -76,8 +76,10 @@ def _cmd_code(args):
 
 
 def _finish(records, output, fmt, deterministic):
+    if deterministic:
+        records = zero_elapsed(records)
     if output:
-        emit_report(records, fmt, output, deterministic=deterministic)
+        emit_report(records, fmt, output)
     else:
         print(json.dumps([r.to_dict() for r in records], indent=2))
     return 1 if any(r.status == "fail" for r in records) else 0

@@ -9,6 +9,8 @@ Prime-subfield constants encode as themselves (values < p).
 
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import (
     DegreeTooLarge,
     DivisionByZero,
@@ -17,7 +19,8 @@ from .errors import (
     NotPrime,
 )
 
-# Fields up to this order keep full q x q add/mul tables; larger contexts
+# Fields up to this order keep full q x q add/mul tables, built with O(q)
+# scalar work from the log/antilog of the primitive element; larger contexts
 # fall back to digit arithmetic per operation.
 TABLE_LIMIT = 512
 
@@ -98,20 +101,43 @@ class FieldCtx:
     # -- arithmetic -------------------------------------------------------
 
     def _build_tables(self):
-        q = self.q
-        add = [0] * (q * q)
-        mul = [0] * (q * q)
-        for a in range(q):
-            row = a * q
-            for b in range(a, q):
-                s = self._add_raw(a, b)
-                m = self._mul_raw(a, b)
-                add[row + b] = s
-                add[b * q + a] = s
-                mul[row + b] = m
-                mul[b * q + a] = m
-        self._add_table = add
-        self._mul_table = mul
+        """Fill the q x q add/mul tables from the log/antilog of gamma.
+
+        gamma = primitive_element() is found by digit arithmetic, as no table
+        is set yet. exp[i] = gamma^i takes q - 1 more products, the last one
+        checking gamma^(q-1) = 1, and log is its inverse permutation, so a*b = exp[(log a + log b) mod (q - 1)] for
+        nonzero a, b. Sums act digit by digit: XOR for p = 2, otherwise
+        (d_i(a) + d_i(b)) mod p re-encoded one digit plane at a time. Both
+        tables are then flat lists, so add/mul stay one list index.
+        """
+        q, p = self.q, self.p
+        gamma = self.primitive_element()
+        exp = [1]
+        for _ in range(q - 1):
+            exp.append(self._mul_raw(exp[-1], gamma))
+        # a unit of order q - 1 exists only when the modulus is irreducible
+        if exp.pop() != 1 or len(set(exp)) < q - 1:
+            raise InvalidArgument(f"modulus {self.modulus} is not irreducible over F_{p}")
+        # log sums and digit sums reach 2(q - 2), so hold them in a type for 2q
+        dt = np.min_scalar_type(2 * q)
+        exp = np.array(exp + exp[:-1], dtype=dt)  # doubled: no reduction mod q - 1
+        log = np.zeros(q, dtype=dt)
+        log[exp[: q - 1]] = np.arange(q - 1, dtype=dt)
+        mul = exp[np.add.outer(log, log)]
+        mul[0, :] = 0
+        mul[:, 0] = 0
+        elems = np.arange(q, dtype=dt)
+        if p == 2:
+            add = np.bitwise_xor.outer(elems, elems)
+        else:
+            add = np.zeros((q, q), dtype=dt)
+            place = 1
+            for _ in range(self.l):
+                digit = elems // place % p
+                add += np.add.outer(digit, digit) % p * place
+                place *= p
+        self._add_table = _flat_list(add)
+        self._mul_table = _flat_list(mul)
 
     def _add_raw(self, a, b):
         if self.l == 1:
@@ -225,6 +251,20 @@ class FieldCtx:
 
     def literal(self):
         return str(self.p) if self.l == 1 else f"{self.p}^{self.l}"
+
+
+def _flat_list(table):
+    """The entries of a q x q table of field elements as one flat list.
+
+    CPython keeps a single object for each int up to 256, but tolist() makes
+    a new int for every larger entry, so bigger fields share the q objects
+    of range(q) instead of holding q^2 ints.
+    """
+    q = len(table)
+    if q <= 257:
+        return table.ravel().tolist()
+    elems = list(range(q))
+    return [elems[v] for row in table for v in row.tolist()]
 
 
 class Extension:

@@ -2,7 +2,7 @@
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import IoError
 
@@ -98,6 +98,11 @@ class VerificationRecord:
         ]
 
 
+def zero_elapsed(records):
+    """Copies of records with their elapsed times zeroed."""
+    return [replace(r, elapsed=0.0) for r in records]
+
+
 def emit_report(records, fmt, path, deterministic=False):
     """Write records to path as csv or json.
 
@@ -107,12 +112,7 @@ def emit_report(records, fmt, path, deterministic=False):
     if fmt not in ("csv", "json"):
         raise IoError(f"unknown report format {fmt!r}")
     if deterministic:
-        recs = []
-        for r in records:
-            r2 = VerificationRecord(**{**r.__dict__})
-            r2.elapsed = 0.0
-            recs.append(r2)
-        records = recs
+        records = zero_elapsed(records)
     try:
         if fmt == "csv":
             with open(path, "w", newline="") as fh:

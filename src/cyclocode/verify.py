@@ -55,6 +55,10 @@ class SweepConfig:
     theorems: list = dc_field(default_factory=lambda: list(DEFAULT_THEOREMS))
 
     def validate(self):
+        for key, (ok, kind) in _CONFIG_TYPES.items():
+            value = getattr(self, key)
+            if not ok(value):
+                raise ConfigInvalid(f"{key} must be {kind}, got {value!r}")
         if self.budget < 1:
             raise ConfigInvalid("budget must be >= 1")
         lo, hi = self.n_range
@@ -77,18 +81,10 @@ class SweepConfig:
         extra = set(d) - set(_CONFIG_TYPES)
         if extra:
             raise ConfigInvalid(f"unknown config keys: {sorted(extra)}")
-        for key, (ok, kind) in _CONFIG_TYPES.items():
-            if key in d and not ok(d[key]):
-                raise ConfigInvalid(f"{key} must be {kind}, got {d[key]!r}")
-        cfg = cls(
-            fields=[str(f) for f in d.get("fields", DEFAULT_FIELDS)],
-            n_range=tuple(d.get("n_range", (2, 30))),
-            budget=d.get("budget", codes.DEFAULT_BUDGET),
-            output=d.get("output"),
-            format=d.get("format", "csv"),
-            theorems=list(d.get("theorems", DEFAULT_THEOREMS)),
-        )
-        return cfg.validate()
+        cfg = cls(**d).validate()
+        cfg.fields = [str(f) for f in cfg.fields]
+        cfg.n_range = tuple(cfg.n_range)
+        return cfg
 
     @classmethod
     def from_file(cls, path):

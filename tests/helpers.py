@@ -3,13 +3,43 @@
 Everything here enumerates codewords the slow, obvious way (itertools over
 message tuples, scalar field ops) so it shares no code path with the
 enumeration engine it validates.  The MacWilliams transform is exact integer
-arithmetic on weight distributions.
+arithmetic on weight distributions.  Field sums and products are digit-vector
+arithmetic written here from the field's p, l and modulus alone, so they share
+no code with the add/mul tables of `cyclocode.field`.
 """
 
 import itertools
 import math
 
 from cyclocode.codes import _as_matrix
+
+
+def _digits(ctx, a):
+    return [a // ctx.p ** i % ctx.p for i in range(ctx.l)]
+
+
+def _undigits(ctx, digits):
+    return sum(d % ctx.p * ctx.p ** i for i, d in enumerate(digits))
+
+
+def naive_field_add(ctx, a, b):
+    """a + b in ctx: base-p digits added one by one, mod p."""
+    return _undigits(ctx, [x + y for x, y in zip(_digits(ctx, a), _digits(ctx, b))])
+
+
+def naive_field_mul(ctx, a, b):
+    """a * b in ctx: schoolbook product of digit vectors, reduced by ctx.modulus."""
+    l = ctx.l
+    prod = [0] * (2 * l - 1)
+    for i, x in enumerate(_digits(ctx, a)):
+        for j, y in enumerate(_digits(ctx, b)):
+            prod[i + j] += x * y
+    # u^deg = u^(deg - l) * u^l and u^l = -(modulus without its leading 1)
+    for deg in range(2 * l - 2, l - 1, -1):
+        c = prod[deg]
+        for j, m in enumerate(ctx.modulus[:l]):
+            prod[deg - l + j] -= c * m
+    return _undigits(ctx, prod[:l])
 
 
 def all_codewords(obj):

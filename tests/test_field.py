@@ -1,19 +1,30 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyclocode.errors import (
     DegreeTooLarge,
     DivisionByZero,
+    InvalidArgument,
     NotCompatible,
     NotPrime,
 )
 from cyclocode.field import (
+    TABLE_LIMIT,
+    FieldCtx,
     make_extension,
     make_prime_field,
     nth_root_of_unity,
     parse_field,
 )
+from helpers import naive_field_add, naive_field_mul
+
+# Table fields: every pair is checked up to q = 64, seeded pairs above.
+TABLE_FIELDS = [
+    "2", "3", "2^2", "5", "7", "2^3", "3^2", "2^4", "5^2", "3^3", "2^5", "7^2",
+    "2^6", "3^4", "5^3", "3^5", "2^8", "7^3", "2^9",
+]
 
 
 def test_make_prime_field_smallest():
@@ -150,7 +161,62 @@ def test_parse_field_literals():
         parse_field("4")
 
 
+@pytest.mark.parametrize("p,modulus", [(2, (1, 0, 1)), (2, (0, 0, 1)), (3, (2, 0, 1))])
+def test_reducible_modulus_rejected(p, modulus):
+    with pytest.raises(InvalidArgument, match="not irreducible"):
+        FieldCtx(p, 2, modulus)
+
+
 def test_canonical_modulus_is_deterministic():
     a = parse_field("2^3")
     b = parse_field("2^3")
     assert a.modulus == b.modulus == (1, 1, 0, 1)  # x^3 + x + 1
+
+
+@pytest.mark.parametrize("literal", TABLE_FIELDS)
+def test_tables_match_schoolbook_oracle(literal):
+    ctx = parse_field(literal)
+    assert ctx.q <= TABLE_LIMIT
+    if ctx.q <= 64:
+        pairs = [(a, b) for a in range(ctx.q) for b in range(ctx.q)]
+    else:
+        rng = random.Random(ctx.q)
+        pairs = [(rng.randrange(ctx.q), rng.randrange(ctx.q)) for _ in range(3000)]
+    for a, b in pairs:
+        assert ctx.add(a, b) == naive_field_add(ctx, a, b)
+        assert ctx.mul(a, b) == naive_field_mul(ctx, a, b)
+
+
+def _order_by_repeated_mul(ctx, a):
+    x, e = a, 1
+    while x != 1:
+        x = naive_field_mul(ctx, x, a)
+        e += 1
+        assert e < ctx.q
+    return e
+
+
+@pytest.mark.parametrize("literal", TABLE_FIELDS)
+def test_primitive_element_is_least_generator(literal):
+    ctx = parse_field(literal)
+    gamma = ctx.primitive_element()
+    assert _order_by_repeated_mul(ctx, gamma) == ctx.q - 1
+    for a in range(1, gamma):
+        assert _order_by_repeated_mul(ctx, a) < ctx.q - 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(literal=st.sampled_from(["2^8", "3^5", "2^12"]), data=st.data())
+def test_field_axioms_property(literal, data):
+    ctx = parse_field(literal)  # 2^12 is above TABLE_LIMIT: digit arithmetic
+    a, b, c = (data.draw(st.integers(0, ctx.q - 1)) for _ in range(3))
+    assert ctx.add(a, b) == ctx.add(b, a) == naive_field_add(ctx, a, b)
+    assert ctx.mul(a, b) == ctx.mul(b, a) == naive_field_mul(ctx, a, b)
+    assert ctx.add(ctx.add(a, b), c) == ctx.add(a, ctx.add(b, c))
+    assert ctx.mul(ctx.mul(a, b), c) == ctx.mul(a, ctx.mul(b, c))
+    assert ctx.mul(a, ctx.add(b, c)) == ctx.add(ctx.mul(a, b), ctx.mul(a, c))
+    assert ctx.add(a, 0) == ctx.mul(a, 1) == a
+    assert ctx.mul(a, 0) == 0
+    assert ctx.add(a, ctx.neg(a)) == 0
+    if a:
+        assert ctx.mul(a, ctx.inv(a)) == 1

@@ -108,6 +108,28 @@ def test_config_validation():
         SweepConfig.from_dict({"bogus": 1})
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"budget": "x"},
+        {"budget": 1.5},
+        {"budget": True},
+        {"n_range": (2,)},
+        {"n_range": (2, 3, 4)},
+        {"n_range": "2,30"},
+        {"n_range": (2, "30")},
+        {"fields": "23"},
+        {"fields": [2.0]},
+        {"theorems": "CN-DIST"},
+        {"output": 5},
+        {"format": None},
+    ],
+)
+def test_validate_checks_types(kwargs):
+    with pytest.raises(ConfigInvalid, match="must be"):
+        SweepConfig(**kwargs).validate()
+
+
 def test_config_from_file(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"fields": ["2"], "n_range": [2, 6]}))
@@ -237,6 +259,21 @@ def test_cli_conjecture_run(capsys):
     rows = json.loads(capsys.readouterr().out)
     assert any(r["status"] == "observed" for r in rows)
     assert not any(r["status"] == "fail" for r in rows)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["conjecture", "run", "--n-max", "12", "--deterministic"],
+        ["verify", "sweep", "--config", "{cfg}", "--deterministic"],
+    ],
+)
+def test_cli_deterministic_stdout_zeroes_elapsed(argv, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"fields": ["2", "3"], "n_range": [2, 16]}))
+    assert cli_main([a.format(cfg=cfg) for a in argv]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert rows and all(r["elapsed_s"] == 0 for r in rows)
 
 
 def test_cli_conjecture_run_ignores_config_theorems(tmp_path, capsys):
