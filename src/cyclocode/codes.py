@@ -1,8 +1,8 @@
 """Cyclic codes, duals, canonical matrix forms and exhaustive distances.
 
 Matrices hold field-element encodings in int64 numpy arrays; row reduction
-runs through the field context so it works for prime and extension fields
-alike.  Minimum distances and weight distributions come from one
+acts on whole rows through the field's add/mul tables, for prime and
+extension fields alike.  Minimum distances and weight distributions come from one
 meet-in-the-middle enumeration over the prime subfield, the same for every
 field: a table of all combinations of the first rows, walked by an odometer
 over the remaining rows.
@@ -59,44 +59,45 @@ class GenMatrix:
         return self.rows.shape[0]
 
     def rref(self):
+        """Canonical RREF: Gauss-Jordan whose row operations act on whole rows
+        through the field's element-wise add_array/mul_array."""
         if self.canonical:
             return self
         ctx = self.ctx
-        rows = [list(map(int, r)) for r in self.rows]
-        ncols = self.n
-        pivot_row = 0
-        for col in range(ncols):
-            pivot = next(
-                (i for i in range(pivot_row, len(rows)) if rows[i][col] != 0), None
-            )
-            if pivot is None:
-                continue
-            rows[pivot_row], rows[pivot] = rows[pivot], rows[pivot_row]
-            row = rows[pivot_row]
-            inv = ctx.inv(row[col])
-            if inv != 1:
-                rows[pivot_row] = row = [ctx.mul(inv, c) for c in row]
-            for i, other in enumerate(rows):
-                if i != pivot_row and other[col] != 0:
-                    f = ctx.neg(other[col])
-                    rows[i] = [
-                        ctx.add(oc, ctx.mul(f, rc)) for oc, rc in zip(other, row)
-                    ]
-            pivot_row += 1
-            if pivot_row == len(rows):
+        rows = self.rows.copy()
+        top = 0
+        for col in range(self.n):
+            if top == len(rows):
                 break
-        reduced = [r for r in rows[:pivot_row]]
-        return GenMatrix(ctx, reduced, n=ncols, canonical=True)
+            below = rows[top:, col].nonzero()[0]
+            if not below.size:
+                continue
+            if below[0]:
+                rows[[top, top + below[0]]] = rows[[top + below[0], top]]
+            inv = ctx.inv(int(rows[top, col]))
+            if inv != 1:
+                rows[top] = ctx.mul_array(inv, rows[top])
+            factors = rows[:, col].copy()
+            factors[top] = 0
+            hit = factors.nonzero()[0]
+            if hit.size:
+                minus_pivot = ctx.mul_array(ctx.p - 1, rows[top])
+                scaled = ctx.mul_array(factors[hit, None], minus_pivot)
+                rows[hit] = ctx.add_array(rows[hit], scaled)
+            top += 1
+        return GenMatrix(ctx, rows[:top], n=self.n, canonical=True)
 
     @property
     def rank(self):
         return self.rref().num_rows
 
     def __eq__(self, other):
+        """Equal when over the same field and length with the same row space."""
         return (
             isinstance(other, GenMatrix)
             and self.ctx == other.ctx
-            and np.array_equal(self.rows, other.rows)
+            and self.n == other.n
+            and np.array_equal(self.rref().rows, other.rref().rows)
         )
 
     def __repr__(self):
@@ -319,16 +320,25 @@ def _weights(m, include_zero):
             return
 
 
-def min_distance(c, budget=DEFAULT_BUDGET):
-    """Exact minimum weight by exhaustive message enumeration."""
-    m = _as_matrix(c).rref()
-    ctx = m.ctx
-    k = m.num_rows
-    if k == 0:
+def _basis_within_budget(c, count_zero, budget):
+    """RREF basis of c and its q^k codewords (less the zero word unless
+    count_zero), or BudgetExceeded; a CyclicCode's k is known, so a refused
+    one is never row-reduced."""
+    m = None if isinstance(c, CyclicCode) else c.rref()
+    k = c.k if m is None else m.num_rows
+    if k == 0 and not count_zero:
         raise InvalidArgument("the zero code has no minimum distance")
-    count = ctx.q ** k - 1
+    count = c.ctx.q ** k - (0 if count_zero else 1)
     if count > budget:
         raise BudgetExceeded(count, budget)
+    if m is None:
+        m = c.generator_matrix().rref()
+    return m, count
+
+
+def min_distance(c, budget=DEFAULT_BUDGET):
+    """Exact minimum weight by exhaustive message enumeration."""
+    m, count = _basis_within_budget(c, False, budget)
     t0 = time.perf_counter()
     best = m.n
     for weights in _weights(m, include_zero=False):
@@ -345,11 +355,7 @@ def min_distance(c, budget=DEFAULT_BUDGET):
 
 def weight_distribution(c, budget=DEFAULT_BUDGET):
     """Counts A_0..A_n of codewords by weight; sums to q^k."""
-    m = _as_matrix(c).rref()
-    ctx = m.ctx
-    k = m.num_rows
-    if ctx.q ** k > budget:
-        raise BudgetExceeded(ctx.q ** k, budget)
+    m, _ = _basis_within_budget(c, True, budget)
     counts = np.zeros(m.n + 1, dtype=np.int64)
     for weights in _weights(m, include_zero=True):
         counts += np.bincount(weights, minlength=m.n + 1)

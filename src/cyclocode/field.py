@@ -20,8 +20,9 @@ from .errors import (
 )
 
 # Fields up to this order keep full q x q add/mul tables, built with O(q)
-# scalar work from the log/antilog of the primitive element; larger contexts
-# fall back to digit arithmetic per operation.
+# scalar work from the log/antilog of the primitive element, as numpy arrays
+# for whole-array arithmetic and as flat lists for scalar look-ups; larger
+# contexts fall back to digit arithmetic per operation.
 TABLE_LIMIT = 512
 
 # Support contract: a context itself never exceeds 2^16 elements unless it
@@ -78,6 +79,8 @@ class FieldCtx:
             self.modulus = tuple(c % p for c in modulus[:-1]) + (1,)
         self._add_table = None
         self._mul_table = None
+        self._add_array = None
+        self._mul_array = None
         self._primitive = None
         if self.q <= TABLE_LIMIT:
             self._build_tables()
@@ -104,20 +107,19 @@ class FieldCtx:
         """Fill the q x q add/mul tables from the log/antilog of gamma.
 
         gamma = primitive_element() is found by digit arithmetic, as no table
-        is set yet. exp[i] = gamma^i takes q - 1 more products, the last one
-        checking gamma^(q-1) = 1, and log is its inverse permutation, so a*b = exp[(log a + log b) mod (q - 1)] for
-        nonzero a, b. Sums act digit by digit: XOR for p = 2, otherwise
-        (d_i(a) + d_i(b)) mod p re-encoded one digit plane at a time. Both
-        tables are then flat lists, so add/mul stay one list index.
+        is set yet; it raises for a reducible modulus. exp[i] = gamma^i takes
+        q - 2 more products, and log is its inverse permutation, so
+        a*b = exp[(log a + log b) mod (q - 1)] for nonzero a, b. Sums act
+        digit by digit: XOR for p = 2, otherwise (d_i(a) + d_i(b)) mod p
+        re-encoded one digit plane at a time. Both tables are kept as q x q
+        arrays of the smallest dtype holding q - 1, for add_array/mul_array,
+        and as flat lists, so add/mul stay one list index.
         """
         q, p = self.q, self.p
         gamma = self.primitive_element()
         exp = [1]
-        for _ in range(q - 1):
+        for _ in range(q - 2):
             exp.append(self._mul_raw(exp[-1], gamma))
-        # a unit of order q - 1 exists only when the modulus is irreducible
-        if exp.pop() != 1 or len(set(exp)) < q - 1:
-            raise InvalidArgument(f"modulus {self.modulus} is not irreducible over F_{p}")
         # log sums and digit sums reach 2(q - 2), so hold them in a type for 2q
         dt = np.min_scalar_type(2 * q)
         exp = np.array(exp + exp[:-1], dtype=dt)  # doubled: no reduction mod q - 1
@@ -136,8 +138,11 @@ class FieldCtx:
                 digit = elems // place % p
                 add += np.add.outer(digit, digit) % p * place
                 place *= p
-        self._add_table = _flat_list(add)
-        self._mul_table = _flat_list(mul)
+        elem = np.min_scalar_type(q - 1)
+        self._add_array = add.astype(elem)
+        self._mul_array = mul.astype(elem)
+        self._add_table = _flat_list(self._add_array)
+        self._mul_table = _flat_list(self._mul_array)
 
     def _add_raw(self, a, b):
         if self.l == 1:
@@ -189,6 +194,18 @@ class FieldCtx:
             return self._mul_table[a * self.q + b]
         return self._mul_raw(a, b)
 
+    def add_array(self, a, b):
+        """Element-wise sum of two broadcastable arrays of elements."""
+        if self._add_array is not None:
+            return self._add_array[a, b]
+        return np.frompyfunc(self.add, 2, 1)(a, b).astype(np.int64)
+
+    def mul_array(self, a, b):
+        """Element-wise product of two broadcastable arrays of elements."""
+        if self._mul_array is not None:
+            return self._mul_array[a, b]
+        return np.frompyfunc(self.mul, 2, 1)(a, b).astype(np.int64)
+
     def pow(self, a, e):
         if e < 0:
             return self.pow(self.inv(a), -e)
@@ -223,14 +240,17 @@ class FieldCtx:
         return e
 
     def primitive_element(self):
-        """Canonically-least generator of the multiplicative group."""
+        """Canonically-least a with a^(q-1) = 1 and a^((q-1)/r) != 1 for each
+        prime r | q - 1; none exists when the modulus is reducible."""
         if self._primitive is None:
             e = self.q - 1
             primes = [r for r, _ in factorize(e)] if e > 1 else []
             for a in range(1, self.q):
-                if all(self.pow(a, e // r) != 1 for r in primes):
+                if self.pow(a, e) == 1 and all(self.pow(a, e // r) != 1 for r in primes):
                     self._primitive = a
                     break
+            else:
+                raise InvalidArgument(f"modulus {self.modulus} is not irreducible over F_{self.p}")
         return self._primitive
 
     # -- identity ----------------------------------------------------------

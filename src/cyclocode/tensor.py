@@ -50,26 +50,11 @@ def kronecker(g1, g2):
     """Kronecker product of generator matrices, entries multiplied in F_q."""
     if g1.ctx != g2.ctx:
         raise FieldMismatch("matrices over different fields")
-    ctx = g1.ctx
     a, b = g1.rows, g2.rows
     r1, c1 = a.shape
     r2, c2 = b.shape
-    if a.size == 0 or b.size == 0:
-        return GenMatrix(ctx, np.zeros((r1 * r2, c1 * c2), dtype=np.int64))
-    if ctx.l == 1:
-        out = np.kron(a, b) % ctx.p
-    else:
-        if ctx._mul_table is not None:
-            mul = np.array(ctx._mul_table, dtype=np.int64).reshape(ctx.q, ctx.q)
-        else:
-            mul = np.array(
-                [[ctx.mul(x, y) for y in range(ctx.q)] for x in range(ctx.q)],
-                dtype=np.int64,
-            )
-        out = mul[a[:, None, :, None], b[None, :, None, :]].reshape(
-            r1 * r2, c1 * c2
-        )
-    return GenMatrix(ctx, out)
+    out = g1.ctx.mul_array(a[:, None, :, None], b[None, :, None, :])
+    return GenMatrix(g1.ctx, out.reshape(r1 * r2, c1 * c2), n=c1 * c2)
 
 
 @dataclass

@@ -5,7 +5,8 @@ message tuples, scalar field ops) so it shares no code path with the
 enumeration engine it validates.  The MacWilliams transform is exact integer
 arithmetic on weight distributions.  Field sums and products are digit-vector
 arithmetic written here from the field's p, l and modulus alone, so they share
-no code with the add/mul tables of `cyclocode.field`.
+no code with the add/mul tables of `cyclocode.field`, and the row reduction
+oracle is scalar Gauss-Jordan on them, sharing none with `cyclocode.codes`.
 """
 
 import itertools
@@ -40,6 +41,40 @@ def naive_field_mul(ctx, a, b):
         for j, m in enumerate(ctx.modulus[:l]):
             prod[deg - l + j] -= c * m
     return _undigits(ctx, prod[:l])
+
+
+def _naive_inv(ctx, a):
+    """a^(q-2) by square and multiply on naive_field_mul."""
+    result, e = 1, ctx.q - 2
+    while e:
+        if e & 1:
+            result = naive_field_mul(ctx, result, a)
+        a = naive_field_mul(ctx, a, a)
+        e >>= 1
+    return result
+
+
+def naive_rref(ctx, rows):
+    """Reduced row-echelon form of rows (lists of elements), zero rows dropped."""
+    rows = [[int(x) for x in r] for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    top = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(top, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[top], rows[pivot] = rows[pivot], rows[top]
+        inv = _naive_inv(ctx, rows[top][col])
+        rows[top] = [naive_field_mul(ctx, inv, x) for x in rows[top]]
+        for i in range(len(rows)):
+            if i != top and rows[i][col]:
+                minus_f = naive_field_mul(ctx, ctx.p - 1, rows[i][col])
+                rows[i] = [
+                    naive_field_add(ctx, x, naive_field_mul(ctx, minus_f, y))
+                    for x, y in zip(rows[i], rows[top])
+                ]
+        top += 1
+    return rows[:top]
 
 
 def all_codewords(obj):

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import macwilliams, naive_min_distance, naive_weight_distribution
+from helpers import (
+    macwilliams,
+    naive_min_distance,
+    naive_rref,
+    naive_weight_distribution,
+)
 
 from cyclocode.codes import (
     _LOW_TABLE,
@@ -145,6 +150,66 @@ def test_rref():
     assert same_code(build_Cn(3, F2), c3)
 
 
+# F_{2^10} is above TABLE_LIMIT: row operations fall back to scalar add/mul.
+RREF_FIELDS = ["2", "3", "2^2", "7", "3^2", "2^8", "2^10"]
+
+
+def _check_rref(ctx, rows, n):
+    m = GenMatrix(ctx, rows, n=n)
+    before = m.rows.copy()
+    red = m.rref()
+    assert np.array_equal(m.rows, before)  # the input is not reduced in place
+    assert red.canonical and red.n == m.n and red.rows.dtype == np.int64
+    assert red.rows.tolist() == naive_rref(ctx, m.rows)
+    again = GenMatrix(ctx, red.rows, n=red.n).rref()
+    assert np.array_equal(again.rows, red.rows)
+    last = -1
+    for row in red.rows:
+        col = int(np.flatnonzero(row)[0])  # no zero rows are kept
+        assert col > last and row[col] == 1
+        assert np.count_nonzero(red.rows[:, col]) == 1
+        last = col
+
+
+@st.composite
+def _matrices(draw):
+    """Matrices whose entries are mostly zero, with zero and repeated rows."""
+    ctx = parse_field(draw(st.sampled_from(RREF_FIELDS)))
+    n = draw(st.integers(0, 8))
+    entry = st.one_of(st.just(0), st.just(1), st.integers(0, ctx.q - 1))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=7))
+    if rows:
+        rows += [rows[i] for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=2))]
+    return ctx, rows, n
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrices())
+def test_rref_matches_naive_oracle(case):
+    _check_rref(*case)
+
+
+@pytest.mark.parametrize("literal", RREF_FIELDS)
+def test_rref_edge_cases(literal):
+    ctx = parse_field(literal)
+    top = ctx.q - 1
+    _check_rref(ctx, [], 5)  # 0 x n
+    _check_rref(ctx, [[0] * 4] * 3, 4)  # all zero
+    _check_rref(ctx, [[0, top, 1], [0, top, 1], [0, 0, 0], [top, 0, 1]], 3)
+    assert GenMatrix(ctx, [[0] * 4] * 3).rref().rows.shape == (0, 4)
+    assert GenMatrix(ctx, [], n=5).rref().rows.shape == (0, 5)
+
+
+def test_genmatrix_equality_is_row_space_equality():
+    assert GenMatrix(F2, [[1, 1], [0, 1]]) == GenMatrix(F2, [[1, 0], [0, 1]])
+    assert GenMatrix(F3, [[2, 2, 0], [1, 1, 0]]) == GenMatrix(F3, [[1, 1, 0]])
+    assert GenMatrix(F2, [[1, 1, 0]]) != GenMatrix(F2, [[1, 0, 1]])
+    assert GenMatrix(F2, [[1, 1]]) != GenMatrix(F3, [[1, 1]])
+    assert GenMatrix(F2, [], n=2) != GenMatrix(F2, [], n=3)
+    assert GenMatrix(F2, [[1, 1]]) != [[1, 1]]
+    assert GenMatrix.__hash__ is None
+
+
 def test_same_code_checks():
     c6 = build_Cn(6, F5)
     assert same_code(c6, c6)
@@ -202,6 +267,28 @@ def test_min_distance_budget():
     with pytest.raises(BudgetExceeded) as exc:
         min_distance(build_Cn(15, F2), budget=100)
     assert exc.value.required == 127
+
+
+def test_refused_cyclic_code_is_not_row_reduced(monkeypatch):
+    reduced = []
+    rref = GenMatrix.rref
+    monkeypatch.setattr(GenMatrix, "rref", lambda m: reduced.append(m.n) or rref(m))
+    c = build_Cn(15, F2)  # k = 7
+    with pytest.raises(BudgetExceeded) as exc:
+        min_distance(c, budget=100)
+    assert (exc.value.required, exc.value.budget) == (127, 100)
+    with pytest.raises(BudgetExceeded) as exc:
+        weight_distribution(c, budget=127)
+    assert (exc.value.required, exc.value.budget) == (128, 127)
+    assert reduced == []
+    # a GenMatrix is row-reduced to learn its rank, then refused the same way
+    doubled = GenMatrix(F2, np.vstack([c.generator_matrix().rows] * 2))
+    with pytest.raises(BudgetExceeded) as exc:
+        min_distance(doubled, budget=100)
+    assert (exc.value.required, exc.value.budget) == (127, 100)
+    assert reduced == [15]
+    assert min_distance(c, budget=127).d == 3
+    assert reduced == [15, 15]
 
 
 def _cyclic_code(ctx, n, reps):

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -161,10 +162,16 @@ def test_parse_field_literals():
         parse_field("4")
 
 
-@pytest.mark.parametrize("p,modulus", [(2, (1, 0, 1)), (2, (0, 0, 1)), (3, (2, 0, 1))])
+# The degree-10 moduli give contexts above TABLE_LIMIT, which build no tables,
+# so only primitive_element() can find them out: x^10, (x^5 + 1)^2 and
+# (x^2 + x + 1)(x^8 + x^7 + x^5 + x^4 + x^3 + x + 1).
+@pytest.mark.parametrize("p,modulus", [
+    (2, (1, 0, 1)), (2, (0, 0, 1)), (3, (2, 0, 1)),
+    (2, (0,) * 10 + (1,)), (2, (1,) + (0,) * 9 + (1,)), (2, (1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1)),
+])
 def test_reducible_modulus_rejected(p, modulus):
     with pytest.raises(InvalidArgument, match="not irreducible"):
-        FieldCtx(p, 2, modulus)
+        FieldCtx(p, len(modulus) - 1, modulus).primitive_element()
 
 
 def test_canonical_modulus_is_deterministic():
@@ -220,3 +227,17 @@ def test_field_axioms_property(literal, data):
     assert ctx.add(a, ctx.neg(a)) == 0
     if a:
         assert ctx.mul(a, ctx.inv(a)) == 1
+
+
+@pytest.mark.parametrize("literal", ["2", "5", "2^2", "3^2", "2^8", "2^10", "1031"])
+def test_array_arithmetic_matches_scalar(literal):
+    ctx = parse_field(literal)
+    rng = random.Random(ctx.q)
+    a = np.array([[rng.randrange(ctx.q) for _ in range(6)] for _ in range(4)])
+    b = np.array([rng.randrange(ctx.q) for _ in range(6)])
+    s = rng.randrange(ctx.q)
+    for array_op, op in ((ctx.add_array, ctx.add), (ctx.mul_array, ctx.mul)):
+        got = array_op(a, b)  # b broadcasts over the rows of a
+        assert got.shape == a.shape
+        assert got.tolist() == [[op(int(x), int(y)) for x, y in zip(row, b)] for row in a]
+        assert array_op(s, b).tolist() == [op(s, int(y)) for y in b]
