@@ -58,6 +58,8 @@ def _cmd_cyclo(args):
 
 
 def _cmd_code(args):
+    if args.action in ("mindist", "weights") and args.budget < 1:
+        raise InvalidArgument(f"--budget must be >= 1, got {args.budget}")
     ctx = parse_field(args.field)
     code = _build_code(args, ctx)
     if args.action == "build":

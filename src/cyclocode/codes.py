@@ -2,7 +2,9 @@
 
 Matrices hold field-element encodings in int64 numpy arrays; row reduction
 acts on whole rows through the field's add/mul tables, for prime and
-extension fields alike.  Minimum distances and weight distributions come from one
+extension fields alike.  A cyclic code's generator matrix is its canonical
+RREF [I_k | P], read off g by systematic encoding, so it is never
+row-reduced.  Minimum distances and weight distributions come from one
 meet-in-the-middle enumeration over the prime subfield, the same for every
 field: a table of all combinations of the first rows, walked by an odometer
 over the remaining rows.
@@ -42,7 +44,7 @@ class GenMatrix:
 
     def __init__(self, ctx, rows, n=None, canonical=False):
         arr = np.array(rows, dtype=np.int64)
-        if arr.size == 0:
+        if arr.size == 0 and arr.ndim != 2:
             arr = arr.reshape(0, n if n is not None else 0)
         if arr.ndim != 2:
             raise ValueError("rows must form a 2-D array")
@@ -132,11 +134,30 @@ class CyclicCode:
         self.label = label
 
     def generator_matrix(self):
-        gc = list(self.g.coeffs)
-        rows = [
-            [0] * i + gc + [0] * (self.n - len(gc) - i) for i in range(self.k)
-        ]
-        return GenMatrix(self.ctx, rows, n=self.n)
+        """The canonical RREF [I_k | P], read off g without row reduction.
+
+        As x^n = 1 mod g, row i is e_i followed by the coefficients of
+        t_i = -(x^(r+i) mod g), r = deg g (MacWilliams & Sloane, ch. 7).
+        An LFSR gives them in O(k r) field operations: t_0 = g - x^r, the low
+        coefficients of the monic g, and t_(i+1) = x t_i mod g, which is t_i
+        shifted up one place plus its top coefficient times x^r mod g = -t_0.
+        """
+        ctx, k, r = self.ctx, self.k, self.g.degree
+        rows = np.zeros((k, self.n), dtype=np.int64)
+        rows[:, :k] = np.eye(k, dtype=np.int64)
+        if k and r:
+            add, mul = ctx.add, ctx.mul
+            t = list(self.g.coeffs[:r])
+            feedback = ctx.mul_array(ctx.p - 1, np.array(t)).tolist()
+            block = []
+            for _ in range(k):
+                block.append(t)
+                top = t[-1]
+                t = [0] + t[:-1]
+                if top:
+                    t = [add(a, mul(top, b)) for a, b in zip(t, feedback)]
+            rows[:, k:] = block
+        return GenMatrix(ctx, rows, n=self.n, canonical=True)
 
     def params(self):
         return (self.n, self.k)
@@ -267,16 +288,13 @@ def _prime_field_expansion(m):
     uint8 for every p <= 128.
     """
     ctx = m.ctx
-    p, l, n = ctx.p, ctx.l, m.n
-    k = m.num_rows
-    out = np.zeros((k * l, n * l), dtype=np.min_scalar_type(2 * (p - 1)))
-    for r in range(k):
-        for s in range(l):
-            us = p ** s
-            for j in range(n):
-                prod = ctx.mul(us, int(m.rows[r, j]))
-                out[r * l + s, j * l : (j + 1) * l] = ctx.decode(prod)
-    return out
+    p, l = ctx.p, ctx.l
+    places = p ** np.arange(l, dtype=np.int64)
+    # multiples[r, s, j] = u^s * m[r, j]; digit t of each is column j*l + t
+    multiples = ctx.mul_array(places[None, :, None], m.rows[:, None, :])
+    digits = multiples[..., None] // places % p
+    out = digits.reshape(m.num_rows * l, m.n * l)
+    return out.astype(np.min_scalar_type(2 * (p - 1)))
 
 
 def _weights(m, include_zero):
@@ -323,7 +341,7 @@ def _weights(m, include_zero):
 def _basis_within_budget(c, count_zero, budget):
     """RREF basis of c and its q^k codewords (less the zero word unless
     count_zero), or BudgetExceeded; a CyclicCode's k is known, so a refused
-    one is never row-reduced."""
+    one builds no matrix, and an accepted one reads its RREF off g."""
     m = None if isinstance(c, CyclicCode) else c.rref()
     k = c.k if m is None else m.num_rows
     if k == 0 and not count_zero:
@@ -332,7 +350,7 @@ def _basis_within_budget(c, count_zero, budget):
     if count > budget:
         raise BudgetExceeded(count, budget)
     if m is None:
-        m = c.generator_matrix().rref()
+        m = c.generator_matrix()
     return m, count
 
 

@@ -186,9 +186,6 @@ class FieldCtx:
             return a
         return self.encode([-d for d in self.decode(a)])
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
     def mul(self, a, b):
         if self._mul_table is not None:
             return self._mul_table[a * self.q + b]

@@ -152,6 +152,7 @@ class Poly:
         if other.is_zero:
             raise DivisionByZero("polynomial division by zero")
         ctx = self.ctx
+        add, mul = ctx.add, ctx.mul
         rem = list(self.coeffs)
         db = other.degree
         inv_lead = ctx.inv(other.coeffs[-1])
@@ -160,10 +161,11 @@ class Poly:
             c = rem[i + db]
             if c == 0:
                 continue
-            f = ctx.mul(c, inv_lead)
+            f = mul(c, inv_lead)
             quot[i] = f
+            minus_f = mul(ctx.p - 1, f)  # one negation per step; the loop only adds
             for j, bc in enumerate(other.coeffs):
-                rem[i + j] = ctx.sub(rem[i + j], ctx.mul(f, bc))
+                rem[i + j] = add(rem[i + j], mul(minus_f, bc))
         return Poly(ctx, quot), Poly(ctx, rem)
 
     def __floordiv__(self, other):

@@ -77,6 +77,16 @@ def naive_rref(ctx, rows):
     return rows[:top]
 
 
+def naive_prime_field_expansion(ctx, rows):
+    """Rows over F_{p^l} as rows over F_p: row r becomes the l rows u^s * row,
+    s < l, with each entry written as its l base-p digits."""
+    return [
+        [d for x in row for d in _digits(ctx, naive_field_mul(ctx, ctx.p ** s, x))]
+        for row in rows
+        for s in range(ctx.l)
+    ]
+
+
 def all_codewords(obj):
     m = _as_matrix(obj)
     ctx = m.ctx

@@ -7,12 +7,14 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     macwilliams,
     naive_min_distance,
+    naive_prime_field_expansion,
     naive_rref,
     naive_weight_distribution,
 )
 
 from cyclocode.codes import (
     _LOW_TABLE,
+    _prime_field_expansion,
     GenMatrix,
     build_Cn,
     build_Cn1,
@@ -27,7 +29,7 @@ from cyclocode.codes import (
     zero_sum_subcode,
     zeros_and_nonzeros,
 )
-from cyclocode.cyclotomic import cosets, minimal_poly, profile
+from cyclocode.cyclotomic import cosets, minimal_poly, multiplicative_order_mod, profile
 from cyclocode.errors import (
     BudgetExceeded,
     CharacteristicDividesN,
@@ -37,7 +39,7 @@ from cyclocode.errors import (
     NotMonic,
     PrimeLength,
 )
-from cyclocode.field import make_prime_field, parse_field
+from cyclocode.field import make_prime_field, nth_root_of_unity, parse_field
 from cyclocode.poly import Poly, poly_order
 
 F2 = make_prime_field(2)
@@ -288,7 +290,7 @@ def test_refused_cyclic_code_is_not_row_reduced(monkeypatch):
     assert (exc.value.required, exc.value.budget) == (127, 100)
     assert reduced == [15]
     assert min_distance(c, budget=127).d == 3
-    assert reduced == [15, 15]
+    assert reduced == [15]  # an accepted cyclic code reads its RREF off g
 
 
 def _cyclic_code(ctx, n, reps):
@@ -357,6 +359,76 @@ def _divisor_codes(draw):
     n = draw(st.sampled_from(lengths))
     reps = [c.representative for c in cosets(n, ctx.q)]
     return _cyclic_code(ctx, n, draw(st.lists(st.sampled_from(reps), unique=True)))
+
+
+@st.composite
+def _any_divisor_codes(draw, literals):
+    """A cyclic code g | x^n - 1 over one of the fields, g = 1 and x^n - 1 included.
+
+    Over the large fields n divides q - 1, so x^n - 1 splits into the linear
+    factors x - zeta^i and g is the product of a random set of them.
+    """
+    ctx = parse_field(draw(st.sampled_from(literals)))
+    if ctx.q > 64:
+        n = draw(st.sampled_from([n for n in range(2, 20) if (ctx.q - 1) % n == 0]))
+        zeta = nth_root_of_unity(ctx, n)
+        g = Poly.one(ctx)
+        for i in draw(st.lists(st.integers(0, n - 1), unique=True)):
+            g = g * Poly(ctx, [ctx.neg(ctx.pow(zeta, i)), 1])
+        return from_generator(g, n)
+    # minimal_poly works in the splitting field F_{q^t} of x^n - 1: keep it small
+    lengths = [
+        n for n in range(1, 31)
+        if n % ctx.p and ctx.q ** multiplicative_order_mod(ctx.q, n) <= 1 << 16
+    ]
+    n = draw(st.sampled_from(lengths))
+    reps = [c.representative for c in cosets(n, ctx.q)]
+    return _cyclic_code(ctx, n, draw(st.lists(st.sampled_from(reps), unique=True)))
+
+
+def _check_generator_matrix(c):
+    m = c.generator_matrix()
+    gc = [int(x) for x in c.g.coeffs]
+    shifts = [[0] * i + gc + [0] * (c.n - len(gc) - i) for i in range(c.k)]
+    assert m.canonical and m.rows.dtype == np.int64
+    assert m.rows.shape == (c.k, c.n)
+    assert m.rows.tolist() == naive_rref(c.ctx, shifts)
+
+
+# F_{2^10} is above TABLE_LIMIT, so its arithmetic is digit by digit.
+@settings(max_examples=150, deadline=None)
+@given(_any_divisor_codes(["2", "3", "2^2", "5", "3^2", "2^8", "2^10"]))
+def test_generator_matrix_matches_naive_rref_of_shifts(c):
+    _check_generator_matrix(c)
+
+
+@pytest.mark.parametrize("literal", ["2", "3", "2^2", "3^2", "2^10"])
+def test_generator_matrix_edge_cases(literal):
+    ctx = parse_field(literal)
+    n = 3 if ctx.q % 3 else 4
+    whole = from_generator(Poly.one(ctx), n)  # r = 0: the identity
+    zero = from_generator(Poly.x_n_minus_1(ctx, n), n)  # k = 0: no rows
+    for c in (whole, zero, build_repetition(n, ctx), dual(build_repetition(n, ctx))):
+        _check_generator_matrix(c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_any_divisor_codes(["2", "3^2", "2^8", "2^10"]))
+def test_dual_involution_property(c):
+    twice = dual(dual(c))
+    assert twice.k == c.k
+    assert same_code(twice, c)
+
+
+@pytest.mark.parametrize("literal", ["2^2", "2^3", "3^2", "2^8", "2^10"])
+def test_prime_field_expansion_matches_scalar_oracle(literal):
+    ctx = parse_field(literal)
+    rng = random.Random(13)
+    for k, n in [(4, 6), (1, 1), (0, 3), (2, 0)]:
+        rows = [[rng.randrange(ctx.q) for _ in range(n)] for _ in range(k)]
+        out = _prime_field_expansion(GenMatrix(ctx, rows, n=n))
+        assert out.shape == (k * ctx.l, n * ctx.l) and out.dtype == np.uint8
+        assert out.tolist() == naive_prime_field_expansion(ctx, rows)
 
 
 @settings(max_examples=100, deadline=None)

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyclocode.errors import (
     ContextMismatch,
@@ -54,6 +55,25 @@ def test_divmod_round_trip_random(literal):
         q, r = divmod(a, b)
         assert q * b + r == a
         assert r.is_zero or r.degree < b.degree
+
+
+@st.composite
+def _dividend_and_divisor(draw):
+    ctx = parse_field(draw(st.sampled_from(["2", "3^2", "2^8", "2^10"])))
+    element = st.integers(0, ctx.q - 1)
+    a = Poly(ctx, draw(st.lists(element, max_size=12)))
+    b = Poly(ctx, draw(st.lists(element, max_size=6)) + [draw(st.integers(1, ctx.q - 1))])
+    return a, b
+
+
+# F_{2^10} is above TABLE_LIMIT, so its arithmetic is digit by digit.
+@settings(max_examples=150, deadline=None)
+@given(_dividend_and_divisor())
+def test_divmod_property(case):
+    a, b = case
+    q, r = divmod(a, b)
+    assert q * b + r == a
+    assert r.is_zero or r.degree < b.degree
 
 
 def test_context_mismatch():

@@ -6,12 +6,14 @@ from cyclocode.codes import (
     build_Cn,
     build_repetition,
     dual,
+    from_generator,
     min_distance,
     same_code,
     weight_distribution,
 )
 from cyclocode.errors import DimensionMismatch, NotCoprime
 from cyclocode.field import make_prime_field, parse_field
+from cyclocode.poly import Poly
 from cyclocode.tensor import (
     apply_psi,
     crt_map,
@@ -89,6 +91,14 @@ def test_apply_psi_matches_dual_of_product_length():
     pc = product_code(dual(build_Cn(3, F2)), dual(build_Cn(5, F2)))
     image = apply_psi(pc, crt_map(3, 5))
     assert same_code(image, dual(build_Cn(15, F2)))
+
+
+def test_apply_psi_keeps_length_of_zero_row_product():
+    assert GenMatrix(F2, np.zeros((0, 4), dtype=np.int64)).n == 4
+    zero = from_generator(Poly.x_n_minus_1(F2, 3), 3)  # k = 0
+    pc = product_code(zero, build_repetition(5, F2))
+    image = apply_psi(pc, crt_map(3, 5))
+    assert (image.num_rows, image.n) == (0, 15)
 
 
 def test_apply_psi_dimension_mismatch():

@@ -313,3 +313,13 @@ def test_cli_bad_arguments_exit_1_without_traceback(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("action", ["mindist", "weights"])
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_cli_budget_below_1_rejected(action, budget, capsys):
+    argv = ["code", action, "--n", "15", "--field", "2", "--budget", budget]
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --budget must be >= 1, got {budget}\n"
