@@ -58,8 +58,11 @@ def _cmd_cyclo(args):
 
 
 def _cmd_code(args):
-    if args.action in ("mindist", "weights") and args.budget < 1:
-        raise InvalidArgument(f"--budget must be >= 1, got {args.budget}")
+    if args.action in ("mindist", "weights"):
+        if args.budget < 1:
+            raise InvalidArgument(f"--budget must be >= 1, got {args.budget}")
+        if args.budget > codes.MAX_BUDGET:
+            raise InvalidArgument(f"--budget must be <= 2^63 - 1, got {args.budget}")
     ctx = parse_field(args.field)
     code = _build_code(args, ctx)
     if args.action == "build":

@@ -1,5 +1,11 @@
 """Cyclic codes, duals, canonical matrix forms and exhaustive distances.
 
+A cyclic code keeps its generator g and check polynomial h = (x^n - 1) / g.
+The builders take h from exact identities, never by dividing x^n - 1: C_n
+and C_{n,1} from the integer cofactor of Q_n in cyclotomic.py, R_n as x - 1,
+and a dual as -h(0) g* from the code it dualises.  Only from_generator, for
+a g the caller supplies, divides, to check that g | x^n - 1.
+
 Matrices hold field-element encodings in int64 numpy arrays; row reduction
 acts on whole rows through the field's add/mul tables, for prime and
 extension fields alike.  A cyclic code's generator matrix is its canonical
@@ -16,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclotomic import cyclotomic_poly
+from .cyclotomic import cyclotomic_cofactor, cyclotomic_poly
 from .errors import (
     BudgetExceeded,
     CharacteristicDividesN,
@@ -32,6 +38,8 @@ from .field import ROOT_SEARCH_LIMIT, is_prime, make_extension, nth_root_of_unit
 from .poly import Poly, reciprocal
 
 DEFAULT_BUDGET = 1 << 24
+# The largest budget accepted: a codeword count must fit numpy's int64.
+MAX_BUDGET = (1 << 63) - 1
 # Columns of the enumeration table: it holds every F_p-combination of as many
 # leading rows as fit, and each further row multiplies the walk over it by p.
 # At 2^13 a step's arrays stay in cache; larger tables measured slower and
@@ -123,7 +131,8 @@ class DistanceReport:
 
 
 class CyclicCode:
-    """A cyclic code of length n given by a monic generator dividing x^n - 1."""
+    """A cyclic code of length n given by a monic generator g dividing
+    x^n - 1, with its check polynomial h = (x^n - 1) / g."""
 
     def __init__(self, n, ctx, g, h, label=""):
         self.n = n
@@ -176,7 +185,11 @@ class CyclicCode:
 
 
 def from_generator(g, n, label=""):
-    """Cyclic code of length n generated by monic g | x^n - 1."""
+    """Cyclic code of length n generated by monic g | x^n - 1.
+
+    Divides x^n - 1 by g to check g and find h; the builders and dual below
+    know h already and do not come here.
+    """
     if g.is_zero or not g.is_monic:
         raise NotMonic("generator must be monic and nonzero")
     xn1 = Poly.x_n_minus_1(g.ctx, n)
@@ -187,33 +200,52 @@ def from_generator(g, n, label=""):
 
 
 def build_Cn(n, ctx):
-    """The code generated by Q_n; an [n, n - phi(n)] code."""
+    """The code generated by Q_n; an [n, n - phi(n)] code.
+
+    Its check polynomial is the cofactor prod_{d | n, d < n} Q_d, formed over
+    the integers where Q_n was divided out of x^n - 1 exactly.
+    """
     if n <= 1:
         raise InvalidArgument(f"build_Cn needs n > 1, got {n}")
-    return from_generator(cyclotomic_poly(n, ctx), n, label="C_n")
+    return CyclicCode(
+        n, ctx, cyclotomic_poly(n, ctx), cyclotomic_cofactor(n, ctx), label="C_n"
+    )
 
 
 def build_Cn1(n, ctx):
-    """The code generated by Q_n * Q_1; defined for composite n only."""
+    """The code generated by Q_n * Q_1; defined for composite n only.
+
+    Its check polynomial is the cofactor of Q_n divided exactly by
+    Q_1 = x - 1 over the integers.
+    """
     if n <= 1:
         raise InvalidArgument(f"build_Cn1 needs n > 1, got {n}")
     if is_prime(n):
         raise PrimeLength(f"n = {n} is prime, the code would be the zero code")
     g = cyclotomic_poly(n, ctx) * cyclotomic_poly(1, ctx)
-    return from_generator(g, n, label="C_{n,1}")
+    h = cyclotomic_cofactor(n, ctx, without_q1=True)
+    return CyclicCode(n, ctx, g, h, label="C_{n,1}")
 
 
 def build_repetition(n, ctx):
-    """The [n, 1, n] repetition code, generated by 1 + x + ... + x^(n-1)."""
+    """The [n, 1, n] repetition code, generated by 1 + x + ... + x^(n-1);
+    its check polynomial is x - 1."""
     if n < 1:
         raise InvalidArgument(f"repetition code needs n >= 1, got {n}")
-    return from_generator(Poly(ctx, [1] * n), n, label="R_n")
+    g = Poly(ctx, [1] * n)
+    return CyclicCode(n, ctx, g, Poly.x_n_minus_1(ctx, 1), label="R_n")
 
 
 def dual(c):
-    """Euclidean dual: generated by the monic normalization of h^*."""
-    gd = reciprocal(c.h).monic()
-    return from_generator(gd, c.n, label=c.label + "^perp")
+    """Euclidean dual, generated by the monic h* / h(0) (MacWilliams & Sloane,
+    ch. 7), with check polynomial -h(0) g*.
+
+    g h = x^n - 1 reverses to g* h* = 1 - x^n, so the two multiply to
+    x^n - 1 again: O(n) work, with no division.  h(0) and g(0) are nonzero
+    as x does not divide x^n - 1, so h* and g* keep their degrees.
+    """
+    h = reciprocal(c.g).scale(c.ctx.neg(c.h.constant_term()))
+    return CyclicCode(c.n, c.ctx, reciprocal(c.h).monic(), h, label=c.label + "^perp")
 
 
 def _as_matrix(obj):

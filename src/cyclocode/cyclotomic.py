@@ -1,8 +1,9 @@
 """Number-theoretic helpers, cyclotomic polynomials and minimal polynomials.
 
 Cyclotomic polynomials are computed once over the integers (coefficients are
-exact Python ints) by recursive division of x^n - 1 by the Q_d for proper
-divisors d, then reduced mod p for a concrete field.
+exact Python ints) by recursive division of x^n - 1 by its cofactor, the
+product of the Q_d for proper divisors d, then reduced mod p for a concrete
+field.  The cofactor is kept too: it is the check polynomial of <Q_n>.
 """
 
 import math
@@ -91,27 +92,57 @@ def _int_divexact(a, b):
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_int(n):
-    """Coefficients of Q_n over the integers, ascending."""
-    if n == 1:
-        return (-1, 1)
-    num = [-1] + [0] * (n - 1) + [1]
-    den = [1]
+def cofactor_int(n):
+    """(x^n - 1) / Q_n over the integers, ascending: the product of Q_d over
+    the divisors d < n of n, and the check polynomial of C_n = <Q_n>."""
+    out = (1,)
     for d in range(1, n):
         if n % d == 0:
-            den = _int_mul(den, list(cyclotomic_int(d)))
-    return tuple(_int_divexact(num, den))
+            out = _int_mul(out, cyclotomic_int(d))
+    return tuple(out)
 
 
-def cyclotomic_poly(n, ctx):
-    """Q_n over the given field; requires gcd(n, char) = 1."""
+@lru_cache(maxsize=None)
+def cyclotomic_int(n):
+    """Coefficients of Q_n over the integers, ascending.
+
+    Q_n = (x^n - 1) / cofactor_int(n) by exact division, which raises
+    NotADivisor on a remainder, so Q_n * cofactor = x^n - 1 holds over the
+    integers, and hence modulo every prime.
+    """
+    return tuple(_int_divexact([-1] + [0] * (n - 1) + [1], cofactor_int(n)))
+
+
+def _check_length(n, ctx):
     if n < 1:
         raise InvalidArgument(f"n must be >= 1, got {n}")
     if n % ctx.p == 0:
         raise CharacteristicDividesN(
             f"characteristic {ctx.p} divides n = {n}"
         )
-    return Poly(ctx, [c % ctx.p for c in cyclotomic_int(n)])
+
+
+def _reduce(coeffs, ctx):
+    """An integer polynomial mod p, over ctx (prime-subfield constants encode as
+    themselves)."""
+    return Poly(ctx, [c % ctx.p for c in coeffs])
+
+
+def cyclotomic_poly(n, ctx):
+    """Q_n over the given field; requires gcd(n, char) = 1."""
+    _check_length(n, ctx)
+    return _reduce(cyclotomic_int(n), ctx)
+
+
+def cyclotomic_cofactor(n, ctx, without_q1=False):
+    """(x^n - 1) / Q_n over the given field, or (x^n - 1) / (Q_n Q_1) when
+    without_q1 (n > 1): cofactor_int(n), divided exactly by x - 1 over the
+    integers for without_q1, then reduced mod p."""
+    _check_length(n, ctx)
+    coeffs = cofactor_int(n)
+    if without_q1:
+        coeffs = _int_divexact(coeffs, cyclotomic_int(1))
+    return _reduce(coeffs, ctx)
 
 
 def verify_factorization(n, ctx):

@@ -77,6 +77,8 @@ class FieldCtx:
             if modulus is None or len(modulus) != l + 1 or modulus[-1] != 1:
                 raise ValueError("modulus must be monic of degree l")
             self.modulus = tuple(c % p for c in modulus[:-1]) + (1,)
+            if self.q > TABLE_LIMIT:
+                self._check_irreducible()
         self._add_table = None
         self._mul_table = None
         self._add_array = None
@@ -84,6 +86,17 @@ class FieldCtx:
         self._primitive = None
         if self.q <= TABLE_LIMIT:
             self._build_tables()
+
+    def _check_irreducible(self):
+        """Rabin's test on the modulus. Below TABLE_LIMIT the table build finds
+        a reducible one out, as it has no primitive element; above, nothing
+        else would, and the context would silently be a ring."""
+        from .poly import Poly, is_irreducible
+
+        if not is_irreducible(Poly(make_prime_field(self.p), self.modulus)):
+            raise InvalidArgument(
+                f"modulus {self.modulus} is not irreducible over F_{self.p}"
+            )
 
     # -- representation helpers ------------------------------------------
 
@@ -367,6 +380,8 @@ def make_extension(base, m, cap=ROOT_SEARCH_LIMIT):
 
     The base field is located inside the big field as the canonically-least
     root of its defining polynomial among the elements of order dividing q-1.
+    Each (base, m) is built once and shared, with the embedding tables it
+    fills on use; cap only decides whether the request is allowed.
     """
     if m < 1:
         raise ValueError("extension degree must be >= 1")
@@ -374,6 +389,11 @@ def make_extension(base, m, cap=ROOT_SEARCH_LIMIT):
         raise DegreeTooLarge(
             f"q^m = {base.q ** m} exceeds the support cap {cap}"
         )
+    return _extension(base, m)
+
+
+@lru_cache(maxsize=None)
+def _extension(base, m):
     if m == 1:
         return Extension(base, base, base.p if base.l > 1 else None)
     big = _extension_field(base.p, base.l * m)

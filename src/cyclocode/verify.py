@@ -61,6 +61,8 @@ class SweepConfig:
                 raise ConfigInvalid(f"{key} must be {kind}, got {value!r}")
         if self.budget < 1:
             raise ConfigInvalid("budget must be >= 1")
+        if self.budget > codes.MAX_BUDGET:
+            raise ConfigInvalid(f"budget must be <= 2^63 - 1, got {self.budget}")
         lo, hi = self.n_range
         if lo < 2 or hi < lo:
             raise ConfigInvalid("n_range lower bound must be >= 2 and <= upper")

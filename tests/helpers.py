@@ -54,6 +54,18 @@ def _naive_inv(ctx, a):
     return result
 
 
+def naive_poly_mul(ctx, a, b):
+    """Product of two coefficient lists (ascending) by naive_field_mul/add,
+    with trailing zeros stripped."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = naive_field_add(ctx, out[i + j], naive_field_mul(ctx, x, y))
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
 def naive_rref(ctx, rows):
     """Reduced row-echelon form of rows (lists of elements), zero rows dropped."""
     rows = [[int(x) for x in r] for r in rows]

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     macwilliams,
     naive_min_distance,
+    naive_poly_mul,
     naive_prime_field_expansion,
     naive_rref,
     naive_weight_distribution,
@@ -39,8 +40,8 @@ from cyclocode.errors import (
     NotMonic,
     PrimeLength,
 )
-from cyclocode.field import make_prime_field, nth_root_of_unity, parse_field
-from cyclocode.poly import Poly, poly_order
+from cyclocode.field import is_prime, make_prime_field, nth_root_of_unity, parse_field
+from cyclocode.poly import Poly, poly_order, reciprocal
 
 F2 = make_prime_field(2)
 F3 = make_prime_field(3)
@@ -112,9 +113,16 @@ def test_dual_of_repetition_3():
 
 
 def test_dual_of_C6_over_F5():
-    d = dual(build_Cn(6, F5))
+    c = build_Cn(6, F5)
+    d = dual(c)
     assert d.params() == (6, 2)
     assert min_distance(d).d == 4  # 2^omega(6)
+    # h = (x^2 - 1)(x^2 + x + 1) has h(0) = -1, so g_perp = -h* and
+    # h_perp = -h(0) g* = g* = x^2 - x + 1: a sign slip in either shows here
+    assert c.h == Poly(F5, [-1, -1, 0, 1, 1])
+    assert d.g == Poly(F5, [-1, -1, 0, 1, 1])
+    assert d.h == Poly(F5, [1, -1, 1])
+    assert d.label == "C_n^perp"
 
 
 def test_generator_times_check_is_xn_minus_1():
@@ -410,6 +418,63 @@ def test_generator_matrix_edge_cases(literal):
     zero = from_generator(Poly.x_n_minus_1(ctx, n), n)  # k = 0: no rows
     for c in (whole, zero, build_repetition(n, ctx), dual(build_repetition(n, ctx))):
         _check_generator_matrix(c)
+
+
+# F_{2^10} is above TABLE_LIMIT, so its arithmetic is digit by digit.
+BUILD_FIELDS = ["2", "3", "2^2", "3^2", "2^8", "2^10"]
+
+
+@st.composite
+def _built_codes(draw):
+    """C_n, C_{n,1} or R_n over one of BUILD_FIELDS, as its builder makes it."""
+    ctx = parse_field(draw(st.sampled_from(BUILD_FIELDS)))
+    n = draw(st.integers(2, 36))
+    builders = [build_repetition]
+    if n % ctx.p:
+        builders.append(build_Cn)
+        if not is_prime(n):
+            builders.append(build_Cn1)
+    return draw(st.sampled_from(builders))(n, ctx)
+
+
+def _check_generator_and_check_poly(c):
+    """g is monic and g h = x^n - 1, multiplied by the scalar oracle."""
+    assert c.g.is_monic
+    xn1 = [c.ctx.p - 1] + [0] * (c.n - 1) + [1]
+    assert naive_poly_mul(c.ctx, list(c.g.coeffs), list(c.h.coeffs)) == xn1
+    assert c.k == c.n - c.g.degree == c.h.degree
+
+
+def _same_fields(a, b):
+    return (a.n, a.ctx, a.g, a.h, a.k, a.label) == (b.n, b.ctx, b.g, b.h, b.k, b.label)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_built_codes())
+def test_builders_and_duals_satisfy_g_times_h(c):
+    for code in (c, dual(c), dual(dual(c))):
+        _check_generator_and_check_poly(code)
+
+
+def _divided_dual(c):
+    """The dual as from_generator makes it, dividing x^n - 1."""
+    return from_generator(reciprocal(c.h).monic(), c.n, label=c.label + "^perp")
+
+
+@settings(max_examples=150, deadline=None)
+@given(_built_codes())
+def test_builders_and_duals_match_division(c):
+    assert _same_fields(c, from_generator(c.g, c.n, label=c.label))
+    assert _same_fields(dual(c), _divided_dual(c))
+    assert _same_fields(dual(dual(c)), _divided_dual(dual(c)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_any_divisor_codes(["2", "3", "2^2", "5", "3^2", "2^8", "2^10"]))
+def test_dual_of_any_divisor_code_matches_division(c):
+    d = dual(c)
+    _check_generator_and_check_poly(d)
+    assert _same_fields(d, _divided_dual(c))
 
 
 @settings(max_examples=60, deadline=None)

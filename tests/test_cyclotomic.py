@@ -4,7 +4,9 @@ import pytest
 
 from cyclocode.cyclotomic import (
     _int_divexact,
+    cofactor_int,
     cosets,
+    cyclotomic_cofactor,
     cyclotomic_int,
     cyclotomic_poly,
     lpf,
@@ -53,6 +55,30 @@ def test_int_divexact_rejects_inexact_division():
         _int_divexact([1, 0, 1], [1, 1])  # x^2 + 1 = (x + 1)(x - 1) + 2
     with pytest.raises(NotADivisor):
         _int_divexact([1, 1], [1, 2])  # leading coefficient does not divide
+
+
+@pytest.mark.parametrize("literal", FIELD_SET + ["2^8"])
+def test_cofactor_is_the_quotient_of_xn_minus_1(literal):
+    ctx = parse_field(literal)
+    for n in range(1, 41):
+        if n % ctx.p == 0:
+            continue
+        xn1 = Poly.x_n_minus_1(ctx, n)
+        q, r = divmod(xn1, cyclotomic_poly(n, ctx))
+        assert r.is_zero and cyclotomic_cofactor(n, ctx) == q
+        assert len(cofactor_int(n)) == n - profile(n).phi + 1
+        if n > 1:
+            q1, r1 = divmod(xn1, cyclotomic_poly(n, ctx) * cyclotomic_poly(1, ctx))
+            assert r1.is_zero and cyclotomic_cofactor(n, ctx, without_q1=True) == q1
+
+
+def test_cofactor_checks_its_length():
+    with pytest.raises(CharacteristicDividesN):
+        cyclotomic_cofactor(6, F3)
+    with pytest.raises(CycloError):
+        cyclotomic_cofactor(0, F2)
+    with pytest.raises(NotADivisor):  # x - 1 is not a factor of the cofactor of n = 1
+        cyclotomic_cofactor(1, F2, without_q1=True)
 
 
 def test_cyclotomic_first_cases():

@@ -106,6 +106,15 @@ def test_make_extension_cap():
         make_extension(make_prime_field(2), 25)
 
 
+def test_make_extension_is_built_once():
+    f4 = parse_field("2^2")
+    ext = make_extension(f4, 3)
+    assert make_extension(f4, 3, cap=1 << 12) is ext
+    assert make_extension(f4, 2) is not ext
+    with pytest.raises(DegreeTooLarge):  # a smaller cap still refuses
+        make_extension(f4, 3, cap=63)
+
+
 def test_f4_in_f16_fixed_by_frobenius():
     f4 = parse_field("2^2")
     ext = make_extension(f4, 2)
@@ -162,16 +171,17 @@ def test_parse_field_literals():
         parse_field("4")
 
 
-# The degree-10 moduli give contexts above TABLE_LIMIT, which build no tables,
-# so only primitive_element() can find them out: x^10, (x^5 + 1)^2 and
-# (x^2 + x + 1)(x^8 + x^7 + x^5 + x^4 + x^3 + x + 1).
+# Every reducible modulus is refused when the context is made. The degree-10
+# ones, x^10, (x^5 + 1)^2 and (x^2 + x + 1)(x^8 + x^7 + x^5 + x^4 + x^3 + x + 1),
+# give contexts above TABLE_LIMIT, which build no tables, so Rabin's test
+# finds them out rather than the search for a primitive element.
 @pytest.mark.parametrize("p,modulus", [
     (2, (1, 0, 1)), (2, (0, 0, 1)), (3, (2, 0, 1)),
     (2, (0,) * 10 + (1,)), (2, (1,) + (0,) * 9 + (1,)), (2, (1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1)),
 ])
 def test_reducible_modulus_rejected(p, modulus):
     with pytest.raises(InvalidArgument, match="not irreducible"):
-        FieldCtx(p, len(modulus) - 1, modulus).primitive_element()
+        FieldCtx(p, len(modulus) - 1, modulus)
 
 
 def test_canonical_modulus_is_deterministic():

@@ -96,6 +96,11 @@ def test_conjecture_rows():
 def test_config_validation():
     with pytest.raises(ConfigInvalid):
         SweepConfig(budget=0).validate()
+    with pytest.raises(ConfigInvalid, match="budget must be <= 2\\^63 - 1"):
+        SweepConfig(budget=2 ** 63).validate()
+    with pytest.raises(ConfigInvalid):
+        SweepConfig(budget=2 ** 80).validate()
+    assert SweepConfig(budget=2 ** 63 - 1).validate().budget == 2 ** 63 - 1
     with pytest.raises(ConfigInvalid):
         SweepConfig(n_range=(1, 5)).validate()
     with pytest.raises(ConfigInvalid):
@@ -220,6 +225,16 @@ def test_cli_sweep_with_config(tmp_path, capsys):
     assert out_csv.read_text().startswith("theorem_id,")
 
 
+@pytest.mark.parametrize("budget", [2 ** 63, 2 ** 80])
+def test_cli_config_budget_above_int64_exit_2(budget, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"fields": ["2"], "n_range": [2, 4], "budget": budget}))
+    assert cli_main(["verify", "sweep", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: budget must be <= 2^63 - 1, got {budget}\n"
+
+
 def test_cli_bad_config_exit_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"fields": ["4"]}))
@@ -323,3 +338,19 @@ def test_cli_budget_below_1_rejected(action, budget, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: --budget must be >= 1, got {budget}\n"
+
+
+@pytest.mark.parametrize("action", ["mindist", "weights"])
+@pytest.mark.parametrize("budget", [str(2 ** 63), str(2 ** 80)])
+def test_cli_budget_above_int64_rejected(action, budget, capsys):
+    argv = ["code", action, "--n", "15", "--field", "2", "--budget", budget]
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --budget must be <= 2^63 - 1, got {budget}\n"
+
+
+def test_cli_budget_int64_max_accepted(capsys):
+    argv = ["code", "mindist", "--n", "15", "--field", "2", "--budget", str(2 ** 63 - 1)]
+    assert cli_main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["d"] == 3
