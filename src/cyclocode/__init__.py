@@ -10,14 +10,12 @@ from .codes import (  # noqa: F401
     build_Cn,
     build_Cn1,
     build_repetition,
-    direct_sum,
     dual,
     from_generator,
     min_distance,
     same_code,
     sum_codes,
     weight_distribution,
-    zero_sum_subcode,
     zeros_and_nonzeros,
 )
 from .cyclotomic import (  # noqa: F401
@@ -35,7 +33,7 @@ from .field import (  # noqa: F401
     nth_root_of_unity,
     parse_field,
 )
-from .poly import Poly, is_irreducible, order_divides, poly_order, reciprocal  # noqa: F401
+from .poly import Poly, is_irreducible, reciprocal  # noqa: F401
 from .tensor import CrtMap, apply_psi, crt_map, kronecker, product_code  # noqa: F401
 from .verify import SweepConfig, sweep  # noqa: F401
 

@@ -23,17 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cyclotomic import cyclotomic_cofactor, cyclotomic_poly
-from .errors import (
-    BudgetExceeded,
-    CharacteristicDividesN,
-    DegreeTooLarge,
-    FieldMismatch,
-    InvalidArgument,
-    LengthMismatch,
-    NotADivisor,
-    NotMonic,
-    PrimeLength,
-)
+from .errors import BudgetExceeded, InvalidArgument
 from .field import ROOT_SEARCH_LIMIT, is_prime, make_extension, nth_root_of_unity
 from .poly import Poly, reciprocal
 
@@ -55,7 +45,7 @@ class GenMatrix:
         if arr.size == 0 and arr.ndim != 2:
             arr = arr.reshape(0, n if n is not None else 0)
         if arr.ndim != 2:
-            raise ValueError("rows must form a 2-D array")
+            raise InvalidArgument("rows must form a 2-D array")
         self.ctx = ctx
         self.rows = arr
         self.canonical = canonical
@@ -96,10 +86,6 @@ class GenMatrix:
                 rows[hit] = ctx.add_array(rows[hit], scaled)
             top += 1
         return GenMatrix(ctx, rows[:top], n=self.n, canonical=True)
-
-    @property
-    def rank(self):
-        return self.rref().num_rows
 
     def __eq__(self, other):
         """Equal when over the same field and length with the same row space."""
@@ -168,9 +154,6 @@ class CyclicCode:
             rows[:, k:] = block
         return GenMatrix(ctx, rows, n=self.n, canonical=True)
 
-    def params(self):
-        return (self.n, self.k)
-
     def to_dict(self):
         return {
             "field": self.ctx.literal(),
@@ -190,12 +173,14 @@ def from_generator(g, n, label=""):
     Divides x^n - 1 by g to check g and find h; the builders and dual below
     know h already and do not come here.
     """
+    if n < 1:
+        raise InvalidArgument(f"code length must be >= 1, got {n}")
     if g.is_zero or not g.is_monic:
-        raise NotMonic("generator must be monic and nonzero")
+        raise InvalidArgument("generator must be monic and nonzero")
     xn1 = Poly.x_n_minus_1(g.ctx, n)
     h, r = divmod(xn1, g)
     if not r.is_zero:
-        raise NotADivisor(f"generator does not divide x^{n} - 1")
+        raise InvalidArgument(f"generator does not divide x^{n} - 1")
     return CyclicCode(n, g.ctx, g, h, label=label)
 
 
@@ -221,7 +206,7 @@ def build_Cn1(n, ctx):
     if n <= 1:
         raise InvalidArgument(f"build_Cn1 needs n > 1, got {n}")
     if is_prime(n):
-        raise PrimeLength(f"n = {n} is prime, the code would be the zero code")
+        raise InvalidArgument(f"n = {n} is prime, the code would be the zero code")
     g = cyclotomic_poly(n, ctx) * cyclotomic_poly(1, ctx)
     h = cyclotomic_cofactor(n, ctx, without_q1=True)
     return CyclicCode(n, ctx, g, h, label="C_{n,1}")
@@ -258,9 +243,9 @@ def same_code(a, b):
     """Row-space equality via identical reduced row-echelon forms."""
     ma, mb = _as_matrix(a), _as_matrix(b)
     if ma.ctx != mb.ctx:
-        raise FieldMismatch("codes over different fields")
+        raise InvalidArgument("codes over different fields")
     if ma.n != mb.n:
-        raise LengthMismatch(f"lengths {ma.n} and {mb.n} differ")
+        raise InvalidArgument(f"lengths {ma.n} and {mb.n} differ")
     ra, rb = ma.rref(), mb.rref()
     return np.array_equal(ra.rows, rb.rows)
 
@@ -269,46 +254,11 @@ def sum_codes(a, b):
     """RREF basis of the sum of two codes of equal length."""
     ma, mb = _as_matrix(a), _as_matrix(b)
     if ma.ctx != mb.ctx:
-        raise FieldMismatch("codes over different fields")
+        raise InvalidArgument("codes over different fields")
     if ma.n != mb.n:
-        raise LengthMismatch(f"lengths {ma.n} and {mb.n} differ")
+        raise InvalidArgument(f"lengths {ma.n} and {mb.n} differ")
     stacked = np.vstack([ma.rows, mb.rows])
     return GenMatrix(ma.ctx, stacked, n=ma.n).rref()
-
-
-def zero_sum_subcode(c):
-    """Basis of the codewords whose coordinates sum to zero."""
-    m = _as_matrix(c).rref()
-    ctx = m.ctx
-    rows = [list(map(int, r)) for r in m.rows]
-    sums = [0] * len(rows)
-    for i, row in enumerate(rows):
-        s = 0
-        for x in row:
-            s = ctx.add(s, x)
-        sums[i] = s
-    pivot = next((i for i, s in enumerate(sums) if s != 0), None)
-    if pivot is None:
-        return m
-    out = []
-    prow = rows[pivot]
-    inv = ctx.inv(sums[pivot])
-    for i, row in enumerate(rows):
-        if i == pivot:
-            continue
-        f = ctx.neg(ctx.mul(sums[i], inv))
-        out.append([ctx.add(x, ctx.mul(f, y)) for x, y in zip(row, prow)])
-    return GenMatrix(ctx, out, n=m.n).rref()
-
-
-def direct_sum(a, b):
-    """Block-diagonal generator of the direct sum of two codes."""
-    ma, mb = _as_matrix(a), _as_matrix(b)
-    if ma.ctx != mb.ctx:
-        raise FieldMismatch("codes over different fields")
-    top = np.hstack([ma.rows, np.zeros((ma.num_rows, mb.n), dtype=np.int64)])
-    bot = np.hstack([np.zeros((mb.num_rows, ma.n), dtype=np.int64), mb.rows])
-    return GenMatrix(ma.ctx, np.vstack([top, bot]), n=ma.n + mb.n)
 
 
 # -- exhaustive enumeration ----------------------------------------------------
@@ -370,15 +320,13 @@ def _weights(m, include_zero):
             return
 
 
-def _basis_within_budget(c, count_zero, budget):
-    """RREF basis of c and its q^k codewords (less the zero word unless
-    count_zero), or BudgetExceeded; a CyclicCode's k is known, so a refused
-    one builds no matrix, and an accepted one reads its RREF off g."""
+def _basis_within_budget(c, budget):
+    """RREF basis of c and its q^k - 1 nonzero codewords, or BudgetExceeded
+    when they exceed budget; a CyclicCode's k is known, so a refused one
+    builds no matrix, and an accepted one reads its RREF off g."""
     m = None if isinstance(c, CyclicCode) else c.rref()
     k = c.k if m is None else m.num_rows
-    if k == 0 and not count_zero:
-        raise InvalidArgument("the zero code has no minimum distance")
-    count = c.ctx.q ** k - (0 if count_zero else 1)
+    count = c.ctx.q ** k - 1
     if count > budget:
         raise BudgetExceeded(count, budget)
     if m is None:
@@ -388,7 +336,9 @@ def _basis_within_budget(c, count_zero, budget):
 
 def min_distance(c, budget=DEFAULT_BUDGET):
     """Exact minimum weight by exhaustive message enumeration."""
-    m, count = _basis_within_budget(c, False, budget)
+    m, count = _basis_within_budget(c, budget)
+    if not count:
+        raise InvalidArgument("the zero code has no minimum distance")
     t0 = time.perf_counter()
     best = m.n
     for weights in _weights(m, include_zero=False):
@@ -404,8 +354,9 @@ def min_distance(c, budget=DEFAULT_BUDGET):
 
 
 def weight_distribution(c, budget=DEFAULT_BUDGET):
-    """Counts A_0..A_n of codewords by weight; sums to q^k."""
-    m, _ = _basis_within_budget(c, True, budget)
+    """Counts A_0..A_n of codewords by weight; sums to q^k.  The budget
+    bounds the q^k - 1 nonzero codewords, as for min_distance."""
+    m, _ = _basis_within_budget(c, budget)
     counts = np.zeros(m.n + 1, dtype=np.int64)
     for weights in _weights(m, include_zero=True):
         counts += np.bincount(weights, minlength=m.n + 1)
@@ -418,10 +369,10 @@ def zeros_and_nonzeros(c, cap=ROOT_SEARCH_LIMIT):
 
     n, ctx = c.n, c.ctx
     if math.gcd(n, ctx.q) != 1:
-        raise CharacteristicDividesN(f"gcd({n}, {ctx.q}) != 1")
+        raise InvalidArgument(f"gcd({n}, {ctx.q}) != 1")
     t = multiplicative_order_mod(ctx.q, n)
     if ctx.q ** t > cap:
-        raise DegreeTooLarge(f"q^t = {ctx.q ** t} exceeds the cap {cap}")
+        raise InvalidArgument(f"q^t = {ctx.q ** t} exceeds the cap {cap}")
     ext = make_extension(ctx, t, cap=cap)
     big = ext.field
     zeta = nth_root_of_unity(big, n)

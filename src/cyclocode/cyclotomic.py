@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import CharacteristicDividesN, InvalidArgument, NotADivisor, NotCoprime
+from .errors import CycloError, InvalidArgument
 from .field import factorize, make_extension, nth_root_of_unity
 from .poly import Poly
 
@@ -81,13 +81,13 @@ def _int_divexact(a, b):
     for i in range(len(a) - 1 - db, -1, -1):
         f, r = divmod(a[i + db], b[-1])
         if r:
-            raise NotADivisor("integer polynomial division is not exact")
+            raise CycloError("integer polynomial division is not exact")
         quot[i] = f
         if f:
             for j, bc in enumerate(b):
                 a[i + j] -= f * bc
     if any(a):
-        raise NotADivisor("integer polynomial division is not exact")
+        raise CycloError("integer polynomial division is not exact")
     return quot
 
 
@@ -107,7 +107,7 @@ def cyclotomic_int(n):
     """Coefficients of Q_n over the integers, ascending.
 
     Q_n = (x^n - 1) / cofactor_int(n) by exact division, which raises
-    NotADivisor on a remainder, so Q_n * cofactor = x^n - 1 holds over the
+    CycloError on a remainder, so Q_n * cofactor = x^n - 1 holds over the
     integers, and hence modulo every prime.
     """
     return tuple(_int_divexact([-1] + [0] * (n - 1) + [1], cofactor_int(n)))
@@ -117,7 +117,7 @@ def _check_length(n, ctx):
     if n < 1:
         raise InvalidArgument(f"n must be >= 1, got {n}")
     if n % ctx.p == 0:
-        raise CharacteristicDividesN(
+        raise InvalidArgument(
             f"characteristic {ctx.p} divides n = {n}"
         )
 
@@ -167,7 +167,7 @@ class CyclotomicCoset:
 def cosets(n, q):
     """The q-cyclotomic cosets partitioning Z_n, sorted by representative."""
     if math.gcd(n, q) != 1:
-        raise NotCoprime(f"gcd({n}, {q}) != 1")
+        raise InvalidArgument(f"gcd({n}, {q}) != 1")
     seen = [False] * n
     out = []
     for i in range(n):
@@ -188,7 +188,7 @@ def cosets(n, q):
 def multiplicative_order_mod(q, n):
     """Order of q in the unit group of Z_n."""
     if math.gcd(n, q) != 1:
-        raise NotCoprime(f"gcd({n}, {q}) != 1")
+        raise InvalidArgument(f"gcd({n}, {q}) != 1")
     if n == 1:
         return 1
     t = 1
@@ -202,7 +202,7 @@ def multiplicative_order_mod(q, n):
 def minimal_poly(s, n, ctx):
     """M^(s) = prod over j in the coset of s of (x - zeta^j), as a base-field Poly."""
     if math.gcd(n, ctx.q) != 1:
-        raise NotCoprime(f"gcd({n}, {ctx.q}) != 1")
+        raise InvalidArgument(f"gcd({n}, {ctx.q}) != 1")
     t = multiplicative_order_mod(ctx.q, n)
     ext = make_extension(ctx, t)
     big = ext.field

@@ -1,76 +1,17 @@
-"""Exception hierarchy shared by every module."""
+"""Exception hierarchy shared by every module.
+
+The CLI maps ConfigInvalid to exit 2 and every other CycloError to exit 1.
+"""
 
 
 class CycloError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors; raised directly for a broken
+    internal invariant or a report that cannot be written."""
 
 
 class InvalidArgument(CycloError, ValueError):
-    """An argument outside its domain, such as n < 1 or a non-element."""
-
-
-class NotPrime(CycloError):
-    pass
-
-
-class DegreeTooLarge(CycloError):
-    pass
-
-
-class DivisionByZero(CycloError):
-    pass
-
-
-class NotCompatible(CycloError):
-    pass
-
-
-class ContextMismatch(CycloError):
-    pass
-
-
-class ZeroPolynomial(CycloError):
-    pass
-
-
-class UnitPolynomial(CycloError):
-    pass
-
-
-class OrderSearchTooLarge(CycloError):
-    pass
-
-
-class CharacteristicDividesN(CycloError):
-    pass
-
-
-class NotCoprime(CycloError):
-    pass
-
-
-class NotADivisor(CycloError):
-    pass
-
-
-class NotMonic(CycloError):
-    pass
-
-
-class PrimeLength(CycloError):
-    pass
-
-
-class LengthMismatch(CycloError):
-    pass
-
-
-class FieldMismatch(CycloError):
-    pass
-
-
-class DimensionMismatch(CycloError):
-    pass
+    """An argument outside its domain, such as n < 1, a non-element, a
+    non-prime characteristic or codes over different fields."""
 
 
 class BudgetExceeded(CycloError):
@@ -83,8 +24,4 @@ class BudgetExceeded(CycloError):
 
 
 class ConfigInvalid(CycloError):
-    pass
-
-
-class IoError(CycloError):
     pass

@@ -11,13 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    DegreeTooLarge,
-    DivisionByZero,
-    InvalidArgument,
-    NotCompatible,
-    NotPrime,
-)
+from .errors import CycloError, InvalidArgument
 
 # Fields up to this order keep full q x q add/mul tables, built with O(q)
 # scalar work from the log/antilog of the primitive element, as numpy arrays
@@ -75,7 +69,7 @@ class FieldCtx:
             self.modulus = None
         else:
             if modulus is None or len(modulus) != l + 1 or modulus[-1] != 1:
-                raise ValueError("modulus must be monic of degree l")
+                raise InvalidArgument("modulus must be monic of degree l")
             self.modulus = tuple(c % p for c in modulus[:-1]) + (1,)
             if self.q > TABLE_LIMIT:
                 self._check_irreducible()
@@ -229,20 +223,17 @@ class FieldCtx:
 
     def inv(self, a):
         if a == 0:
-            raise DivisionByZero("0 has no multiplicative inverse")
+            raise InvalidArgument("0 has no multiplicative inverse")
         if self.l == 1:
             return pow(a, self.p - 2, self.p)
         return self.pow(a, self.q - 2)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     # -- multiplicative structure ------------------------------------------
 
     def element_order(self, a):
         """Least e >= 1 with a^e = 1; divides q - 1."""
         if a == 0:
-            raise DivisionByZero("0 has no multiplicative order")
+            raise InvalidArgument("0 has no multiplicative order")
         e = self.q - 1
         for r, _ in factorize(e):
             while e % r == 0 and self.pow(a, e // r) == 1:
@@ -335,13 +326,13 @@ class Extension:
         try:
             return self._inverse[b]
         except KeyError:
-            raise ValueError(f"{b} is not in the embedded base field") from None
+            raise InvalidArgument(f"{b} is not in the embedded base field") from None
 
 
 def make_prime_field(p):
     """The prime field F_p."""
     if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+        raise InvalidArgument(f"{p} is not prime")
     return _prime_field(p)
 
 
@@ -365,7 +356,7 @@ def _canonical_modulus(p, d):
         f = Poly(ctx, digits + [1])
         if is_irreducible(f):
             return tuple(digits + [1])
-    raise RuntimeError("no irreducible polynomial found")  # unreachable
+    raise CycloError("no irreducible polynomial found")  # unreachable
 
 
 @lru_cache(maxsize=None)
@@ -384,9 +375,9 @@ def make_extension(base, m, cap=ROOT_SEARCH_LIMIT):
     fills on use; cap only decides whether the request is allowed.
     """
     if m < 1:
-        raise ValueError("extension degree must be >= 1")
+        raise InvalidArgument("extension degree must be >= 1")
     if base.q ** m > cap:
-        raise DegreeTooLarge(
+        raise InvalidArgument(
             f"q^m = {base.q ** m} exceeds the support cap {cap}"
         )
     return _extension(base, m)
@@ -417,14 +408,14 @@ def _subfield_root(base, big):
         if acc == 0 and (best is None or x < best):
             best = x
     if best is None:
-        raise RuntimeError("base modulus has no root in the extension")
+        raise CycloError("base modulus has no root in the extension")
     return best
 
 
 def nth_root_of_unity(ctx, n):
     """The canonical primitive n-th root of unity gamma^((q-1)/n)."""
     if n < 1 or (ctx.q - 1) % n != 0:
-        raise NotCompatible(f"{n} does not divide q-1 = {ctx.q - 1}")
+        raise InvalidArgument(f"{n} does not divide q-1 = {ctx.q - 1}")
     return ctx.pow(ctx.primitive_element(), (ctx.q - 1) // n)
 
 
@@ -439,7 +430,7 @@ def parse_field(literal):
     if l < 1:
         raise InvalidArgument(f"field literal {s!r} needs an exponent l >= 1")
     if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+        raise InvalidArgument(f"{p} is not prime")
     if p ** l > CONTEXT_LIMIT:
-        raise DegreeTooLarge(f"field order {p ** l} exceeds {CONTEXT_LIMIT}")
+        raise InvalidArgument(f"field order {p ** l} exceeds {CONTEXT_LIMIT}")
     return _extension_field(p, l)

@@ -5,18 +5,8 @@ trailing zeros; the zero polynomial is the empty tuple.  All operations are
 schoolbook and exact -- lengths here stay in the hundreds.
 """
 
-from .errors import (
-    ContextMismatch,
-    DivisionByZero,
-    InvalidArgument,
-    OrderSearchTooLarge,
-    UnitPolynomial,
-    ZeroPolynomial,
-)
+from .errors import InvalidArgument
 from .field import is_prime
-
-# poly_order gives up after this many incremental steps.
-ORDER_SCAN_LIMIT = 1 << 24
 
 
 class Poly:
@@ -51,10 +41,6 @@ class Poly:
         return cls(ctx, [0, 1])
 
     @classmethod
-    def x_pow(cls, ctx, k):
-        return cls(ctx, [0] * k + [1])
-
-    @classmethod
     def x_n_minus_1(cls, ctx, n):
         return cls(ctx, [ctx.neg(1)] + [0] * (n - 1) + [1])
 
@@ -78,7 +64,7 @@ class Poly:
 
     def _check(self, other):
         if self.ctx != other.ctx:
-            raise ContextMismatch("polynomials over different fields")
+            raise InvalidArgument("polynomials over different fields")
 
     def __eq__(self, other):
         return (
@@ -141,7 +127,7 @@ class Poly:
 
     def monic(self):
         if self.is_zero:
-            raise ZeroPolynomial("zero polynomial has no monic form")
+            raise InvalidArgument("zero polynomial has no monic form")
         lead = self.coeffs[-1]
         if lead == 1:
             return self
@@ -150,7 +136,7 @@ class Poly:
     def __divmod__(self, other):
         self._check(other)
         if other.is_zero:
-            raise DivisionByZero("polynomial division by zero")
+            raise InvalidArgument("polynomial division by zero")
         ctx = self.ctx
         add, mul = ctx.add, ctx.mul
         rem = list(self.coeffs)
@@ -204,7 +190,7 @@ class Poly:
             coeffs = self.coeffs
         else:
             if ext.base != self.ctx:
-                raise ContextMismatch("extension does not embed this field")
+                raise InvalidArgument("extension does not embed this field")
             ctx = ext.field
             coeffs = [ext.embed(c) for c in self.coeffs]
         acc = 0
@@ -216,14 +202,14 @@ class Poly:
 def reciprocal(f):
     """x^deg(f) * f(1/x): reversed coefficients, trailing zeros stripped."""
     if f.is_zero:
-        raise ZeroPolynomial("zero polynomial has no reciprocal")
+        raise InvalidArgument("zero polynomial has no reciprocal")
     return Poly(f.ctx, list(reversed(f.coeffs)))
 
 
 def is_irreducible(f):
     """Rabin irreducibility test over the polynomial's field."""
     if f.is_zero or f.degree < 1:
-        raise ValueError("irreducibility needs degree >= 1")
+        raise InvalidArgument("irreducibility needs degree >= 1")
     ctx = f.ctx
     q = ctx.q
     m = f.degree
@@ -240,44 +226,3 @@ def is_irreducible(f):
             return False
     return True
 
-
-def poly_order(f):
-    """Least e >= 1 with f | x^e - 1, after stripping any power of x.
-
-    Found by incrementally multiplying the residue of x modulo f; the first
-    e with x^e = 1 is the order.  The order is bounded by q^deg(f) - 1.
-    """
-    if f.is_zero:
-        raise ZeroPolynomial("zero polynomial has no order")
-    # strip x^r so that f(0) != 0
-    r = 0
-    while f.coeffs[r] == 0:
-        r += 1
-    if r:
-        f = Poly(f.ctx, f.coeffs[r:])
-    if f.degree == 0:
-        raise UnitPolynomial("constants have no order")
-    f = f.monic()
-    bound = min(f.ctx.q ** f.degree - 1, ORDER_SCAN_LIMIT)
-    x = Poly.x(f.ctx)
-    residue = x % f
-    e = 1
-    one = Poly.one(f.ctx)
-    while residue != one:
-        residue = (residue * x) % f
-        e += 1
-        if e > bound:
-            raise OrderSearchTooLarge(
-                f"order of degree-{f.degree} polynomial exceeds scan bound {bound}"
-            )
-    return e
-
-
-def order_divides(f, c):
-    """True iff f | x^c - 1; agrees with poly_order(f) | c."""
-    if f.is_zero or f.constant_term() == 0:
-        raise ZeroPolynomial("requires f(0) != 0")
-    if c < 1:
-        return False
-    xc = Poly.x(f.ctx).pow_mod(c, f.monic())
-    return xc == Poly.one(f.ctx) % f.monic()

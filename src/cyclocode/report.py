@@ -4,7 +4,7 @@ import csv
 import json
 from dataclasses import dataclass, replace
 
-from .errors import IoError
+from .errors import CycloError
 
 CSV_COLUMNS = [
     "theorem_id",
@@ -103,16 +103,14 @@ def zero_elapsed(records):
     return [replace(r, elapsed=0.0) for r in records]
 
 
-def emit_report(records, fmt, path, deterministic=False):
+def emit_report(records, fmt, path):
     """Write records to path as csv or json.
 
-    With deterministic=True, elapsed times (the only run-dependent field)
-    are zeroed so two runs with the same config produce identical files.
+    Elapsed times are the only run-dependent field: pass the records through
+    zero_elapsed first for identical files from identical configs.
     """
     if fmt not in ("csv", "json"):
-        raise IoError(f"unknown report format {fmt!r}")
-    if deterministic:
-        records = zero_elapsed(records)
+        raise CycloError(f"unknown report format {fmt!r}")
     try:
         if fmt == "csv":
             with open(path, "w", newline="") as fh:
@@ -125,5 +123,5 @@ def emit_report(records, fmt, path, deterministic=False):
                 json.dump([r.to_dict() for r in records], fh, indent=2)
                 fh.write("\n")
     except OSError as exc:
-        raise IoError(str(exc)) from exc
+        raise CycloError(str(exc)) from exc
     return path

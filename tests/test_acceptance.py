@@ -17,7 +17,6 @@ from cyclocode.codes import (
     min_distance,
     same_code,
     sum_codes,
-    zero_sum_subcode,
 )
 from cyclocode.cyclotomic import (
     cosets,
@@ -28,7 +27,7 @@ from cyclocode.cyclotomic import (
     verify_factorization,
 )
 from cyclocode.field import make_prime_field, parse_field
-from cyclocode.poly import Poly, poly_order
+from cyclocode.poly import Poly
 from cyclocode.tensor import apply_psi, crt_map, product_code
 from cyclocode.verify import SweepConfig, sweep
 
@@ -130,9 +129,14 @@ def test_criterion_6_factorizations_and_orders():
         for n in range(1, 201):
             if n % ctx.p:
                 assert verify_factorization(n, ctx), (ctx, n)
+        # ord(Q_n) = n: Q_n | x^n - 1, and Q_n does not divide x^(n/p) - 1
+        # for any prime p | n
         for n in range(1, 61):
             if n % ctx.p:
-                assert poly_order(cyclotomic_poly(n, ctx)) == n, (ctx, n)
+                qn = cyclotomic_poly(n, ctx)
+                assert (Poly.x_n_minus_1(ctx, n) % qn).is_zero, (ctx, n)
+                for p, _ in profile(n).factorization:
+                    assert not (Poly.x_n_minus_1(ctx, n // p) % qn).is_zero, (ctx, n, p)
     for q in (2, 3, 5):
         ctx = make_prime_field(q)
         for n in range(1, 36):
@@ -147,6 +151,13 @@ def test_criterion_6_factorizations_and_orders():
     _report("6 factorization identities", True, f"({time.time()-t0:.1f}s)")
 
 
+def _coordinate_sum(ctx, row):
+    s = 0
+    for a in map(int, row):
+        s = ctx.add(s, a)
+    return s
+
+
 def test_criterion_7_structural_invariants():
     checked = 0
     for lit in FIELD_SET:
@@ -156,12 +167,19 @@ def test_criterion_7_structural_invariants():
                 continue
             pr = profile(n)
             assert cyclotomic_poly(n, ctx).degree == pr.phi
-            codes_here = [build_Cn(n, ctx), build_repetition(n, ctx)]
+            cn = build_Cn(n, ctx)
+            codes_here = [cn, build_repetition(n, ctx)]
             if not _is_prime(n):
-                codes_here.append(build_Cn1(n, ctx))
-                assert same_code(
-                    zero_sum_subcode(build_Cn(n, ctx)), build_Cn1(n, ctx)
-                ), (ctx, n)
+                # C_{n,1} is the zero-sum subcode of C_n: it lies in C_n, its
+                # rows sum to 0, and it has one dimension less than C_n, whose
+                # own rows do not all sum to 0
+                cn1 = build_Cn1(n, ctx)
+                codes_here.append(cn1)
+                assert same_code(sum_codes(cn, cn1), cn), (ctx, n)
+                sums = [_coordinate_sum(ctx, row) for row in cn1.generator_matrix().rows]
+                assert not any(sums), (ctx, n)
+                assert any(_coordinate_sum(ctx, row) for row in cn.generator_matrix().rows), (ctx, n)
+                assert cn1.k == cn.k - 1, (ctx, n)
             for c in codes_here:
                 dc = dual(c)
                 assert same_code(dual(dc), c), (ctx, n, c.label)

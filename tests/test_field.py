@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclocode.errors import (
-    DegreeTooLarge,
-    DivisionByZero,
-    InvalidArgument,
-    NotCompatible,
-    NotPrime,
-)
+from cyclocode.errors import InvalidArgument
 from cyclocode.field import (
     TABLE_LIMIT,
     FieldCtx,
@@ -42,7 +36,7 @@ def test_prime_field_arithmetic():
 
 @pytest.mark.parametrize("bad", [0, 1, 4, 6, 9, 100])
 def test_make_prime_field_rejects_composites(bad):
-    with pytest.raises(NotPrime):
+    with pytest.raises(InvalidArgument, match="is not prime"):
         make_prime_field(bad)
 
 
@@ -53,7 +47,7 @@ def test_inverse_examples():
 
 
 def test_inverse_of_zero_rejected():
-    with pytest.raises(DivisionByZero):
+    with pytest.raises(InvalidArgument, match="inverse"):
         make_prime_field(5).inv(0)
 
 
@@ -69,7 +63,7 @@ def test_element_order_examples():
     assert f7.element_order(2) == 3
     assert f7.element_order(1) == 1
     assert make_prime_field(5).element_order(4) == 2
-    with pytest.raises(DivisionByZero):
+    with pytest.raises(InvalidArgument, match="order"):
         f7.element_order(0)
 
 
@@ -89,7 +83,7 @@ def test_nth_root_of_unity():
     f4 = parse_field("2^2")
     zeta4 = nth_root_of_unity(f4, 3)
     assert f4.element_order(zeta4) == 3
-    with pytest.raises(NotCompatible):
+    with pytest.raises(InvalidArgument, match="does not divide"):
         nth_root_of_unity(f7, 5)
 
 
@@ -102,7 +96,7 @@ def test_make_extension_basic():
 
 
 def test_make_extension_cap():
-    with pytest.raises(DegreeTooLarge):
+    with pytest.raises(InvalidArgument, match="exceeds"):
         make_extension(make_prime_field(2), 25)
 
 
@@ -111,7 +105,7 @@ def test_make_extension_is_built_once():
     ext = make_extension(f4, 3)
     assert make_extension(f4, 3, cap=1 << 12) is ext
     assert make_extension(f4, 2) is not ext
-    with pytest.raises(DegreeTooLarge):  # a smaller cap still refuses
+    with pytest.raises(InvalidArgument, match="exceeds"):  # a smaller cap still refuses
         make_extension(f4, 3, cap=63)
 
 
@@ -167,7 +161,7 @@ def test_frobenius_fixes_every_element(literal):
 def test_parse_field_literals():
     assert parse_field("5").q == 5
     assert parse_field("2^3").q == 8
-    with pytest.raises(NotPrime):
+    with pytest.raises(InvalidArgument, match="4 is not prime"):
         parse_field("4")
 
 

@@ -1,25 +1,12 @@
-import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclocode.errors import (
-    ContextMismatch,
-    CycloError,
-    DivisionByZero,
-    UnitPolynomial,
-    ZeroPolynomial,
-)
+from cyclocode.errors import CycloError, InvalidArgument
 from cyclocode.field import make_extension, make_prime_field, parse_field
 from cyclocode.cyclotomic import cyclotomic_poly
-from cyclocode.poly import (
-    Poly,
-    is_irreducible,
-    order_divides,
-    poly_order,
-    reciprocal,
-)
+from cyclocode.poly import Poly, is_irreducible, reciprocal
 
 F2 = make_prime_field(2)
 F3 = make_prime_field(3)
@@ -39,7 +26,7 @@ def test_divmod_examples():
 
 
 def test_divmod_by_zero():
-    with pytest.raises(DivisionByZero):
+    with pytest.raises(InvalidArgument, match="division by zero"):
         divmod(Poly(F5, [1, 1]), Poly.zero(F5))
 
 
@@ -77,7 +64,7 @@ def test_divmod_property(case):
 
 
 def test_context_mismatch():
-    with pytest.raises(ContextMismatch):
+    with pytest.raises(InvalidArgument, match="different fields"):
         Poly(F2, [1, 1]) * Poly(F3, [1, 1])
 
 
@@ -88,7 +75,7 @@ def test_reciprocal_examples():
     assert reciprocal(pal) == pal  # self-reciprocal
     drop = Poly(F2, [0, 1, 1])  # x^2 + x, constant term zero
     assert reciprocal(drop) == Poly(F2, [1, 1])
-    with pytest.raises(ZeroPolynomial):
+    with pytest.raises(InvalidArgument, match="reciprocal"):
         reciprocal(Poly.zero(F2))
 
 
@@ -103,51 +90,6 @@ def test_reciprocal_involution(literal):
         if f.is_zero:
             continue
         assert reciprocal(reciprocal(f)) == f
-
-
-def test_poly_order_examples():
-    assert poly_order(Poly(F2, [1, 1, 1])) == 3
-    assert poly_order(Poly(F5, [-1, 1])) == 1
-    assert poly_order(cyclotomic_poly(6, F5)) == 6
-    # powers of x are stripped before the order is taken
-    assert poly_order(Poly(F2, [0, 0, 1, 1])) == 1
-
-
-def test_poly_order_errors():
-    with pytest.raises(ZeroPolynomial):
-        poly_order(Poly.zero(F2))
-    with pytest.raises(UnitPolynomial):
-        poly_order(Poly(F5, [3]))
-
-
-def test_order_divides_examples():
-    f = Poly(F2, [1, 1, 1])
-    assert order_divides(f, 6)
-    assert not order_divides(f, 4)
-    for c in range(1, 10):
-        assert order_divides(Poly(F5, [-1, 1]), c)
-
-
-def _monic_with_nonzero_constant(ctx, deg):
-    for tail in itertools.product(range(ctx.q), repeat=deg):
-        if tail[0] == 0:
-            continue
-        yield Poly(ctx, list(tail) + [1])
-
-
-@pytest.mark.parametrize("q,max_deg", [(2, 6), (3, 4), (5, 2)])
-def test_order_consistency_exhaustive(q, max_deg):
-    """order_divides(f, c) iff poly_order(f) | c, and the order is minimal."""
-    ctx = make_prime_field(q)
-    for deg in range(1, max_deg + 1):
-        for f in _monic_with_nonzero_constant(ctx, deg):
-            e = poly_order(f)
-            assert e <= ctx.q ** deg - 1
-            for c in range(1, 2 * e + 1):
-                assert order_divides(f, c) == (c % e == 0)
-            for d in range(1, e):
-                if e % d == 0:
-                    assert not order_divides(f, d)
 
 
 def test_is_irreducible_examples():
@@ -171,7 +113,7 @@ def test_eval_examples():
 
 def test_eval_context_mismatch():
     ext = make_extension(F3, 2)
-    with pytest.raises(ContextMismatch):
+    with pytest.raises(InvalidArgument, match="does not embed"):
         Poly(F2, [1, 1]).eval(1, ext=ext)
 
 

@@ -11,6 +11,7 @@ from cyclocode.report import (
     THEOREM_IDS,
     VerificationRecord,
     emit_report,
+    zero_elapsed,
 )
 from cyclocode.verify import SweepConfig, _distance_row, sweep
 
@@ -180,8 +181,8 @@ def test_emit_report_json_round_trip(tmp_path):
 def test_sweep_determinism(tmp_path):
     cfg = SweepConfig(fields=["2"], n_range=(2, 10))
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    emit_report(sweep(cfg), "csv", str(p1), deterministic=True)
-    emit_report(sweep(cfg), "csv", str(p2), deterministic=True)
+    emit_report(zero_elapsed(sweep(cfg)), "csv", str(p1))
+    emit_report(zero_elapsed(sweep(cfg)), "csv", str(p2))
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -316,11 +317,14 @@ def test_cli_conjecture_run_ignores_config_theorems(tmp_path, capsys):
         ["code", "build", "--n", "4", "--field", "abc"],
         ["code", "build", "--n", "4", "--field", "2^x"],
         ["code", "build", "--n", "4", "--field", "2^0"],
+        ["code", "weights", "--n", "-2", "--field", "2", "--gen", "[1]"],
+        ["code", "build", "--n", "0", "--field", "2", "--gen", "[1]"],
     ],
     ids=[
         "cyclo-n0", "mindist-n1", "mindist-zero-code", "build-non-element",
         "gen-float", "gen-string", "gen-not-list", "gen-bad-json",
         "field-abc", "field-bad-exponent", "field-zero-exponent",
+        "gen-negative-n", "gen-n0",
     ],
 )
 def test_cli_bad_arguments_exit_1_without_traceback(argv, capsys):
