@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cyclotomic import cyclotomic_cofactor, cyclotomic_poly
-from .errors import BudgetExceeded, InvalidArgument
+from .errors import BudgetExceeded, CycloError, InvalidArgument
 from .field import ROOT_SEARCH_LIMIT, is_prime, make_extension, nth_root_of_unity
 from .poly import Poly, reciprocal
 
@@ -46,6 +46,8 @@ class GenMatrix:
             arr = arr.reshape(0, n if n is not None else 0)
         if arr.ndim != 2:
             raise InvalidArgument("rows must form a 2-D array")
+        if n is not None and arr.shape[1] != n:
+            raise InvalidArgument(f"rows have {arr.shape[1]} columns, n = {n}")
         self.ctx = ctx
         self.rows = arr
         self.canonical = canonical
@@ -102,6 +104,11 @@ class GenMatrix:
 
 @dataclass
 class DistanceReport:
+    """A minimum distance d, exact over the q^k - 1 nonzero codewords that
+    codewords_enumerated counts.  The walk behind it stops at a proved floor
+    (1, or 2 when no RREF row has weight 1), so that count is what the
+    result covers, not the number of codewords walked."""
+
     d: int
     codewords_enumerated: int
     method: str
@@ -335,15 +342,26 @@ def _basis_within_budget(c, budget):
 
 
 def min_distance(c, budget=DEFAULT_BUDGET):
-    """Exact minimum weight by exhaustive message enumeration."""
+    """Exact minimum weight by exhaustive message enumeration.
+
+    The walk stops once it meets a proved floor on the distance: 1, or 2
+    when no row of the RREF basis has weight 1.  A weight-1 codeword a e_j
+    of an RREF row space is a row: its coefficient on each row is its entry
+    in that row's pivot column, zero except on the row with pivot j.
+    codewords_enumerated is the q^k - 1 nonzero codewords the result
+    covers, not the number the walk reached before it stopped.
+    """
     m, count = _basis_within_budget(c, budget)
     if not count:
         raise InvalidArgument("the zero code has no minimum distance")
+    if not m.canonical:
+        raise CycloError("the distance floor needs an RREF basis")
     t0 = time.perf_counter()
+    floor = 1 if (np.count_nonzero(m.rows, axis=1) == 1).any() else 2
     best = m.n
     for weights in _weights(m, include_zero=False):
         best = min(best, int(weights.min()))
-        if best == 1:
+        if best <= floor:
             break
     return DistanceReport(
         d=best,

@@ -419,6 +419,27 @@ def nth_root_of_unity(ctx, n):
     return ctx.pow(ctx.primitive_element(), (ctx.q - 1) // n)
 
 
+def _prime_power_hint(p, l):
+    """"; write F_4 as 2^2" when a literal's base p = r^e is a prime power,
+    as F_(p^l) is then r^(e l); "" for any other p that is not prime.
+
+    Only the least factor r is searched for, as is_prime already did; a
+    full factorize would go on through a large cofactor of p."""
+    if p < 4:
+        return ""
+    r = 2
+    while p % r:
+        r += 1
+    e, rest = 0, p
+    while rest % r == 0:
+        rest //= r
+        e += 1
+    if rest != 1:
+        return ""
+    name = p if l == 1 else f"{{{p}^{l}}}"
+    return f"; write F_{name} as {r}^{e * l}"
+
+
 def parse_field(literal):
     """Field literal: "5" for F_5, "2^3" for F_8."""
     s = str(literal).strip()
@@ -430,7 +451,7 @@ def parse_field(literal):
     if l < 1:
         raise InvalidArgument(f"field literal {s!r} needs an exponent l >= 1")
     if not is_prime(p):
-        raise InvalidArgument(f"{p} is not prime")
+        raise InvalidArgument(f"{p} is not prime{_prime_power_hint(p, l)}")
     if p ** l > CONTEXT_LIMIT:
         raise InvalidArgument(f"field order {p ** l} exceeds {CONTEXT_LIMIT}")
     return _extension_field(p, l)

@@ -1,11 +1,14 @@
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     macwilliams,
+    naive_field_add,
+    naive_field_mul,
     naive_min_distance,
     naive_poly_mul,
     naive_prime_field_expansion,
@@ -13,6 +16,7 @@ from helpers import (
     naive_weight_distribution,
 )
 
+from cyclocode import codes
 from cyclocode.codes import (
     _LOW_TABLE,
     _prime_field_expansion,
@@ -29,7 +33,7 @@ from cyclocode.codes import (
     zeros_and_nonzeros,
 )
 from cyclocode.cyclotomic import cosets, minimal_poly, multiplicative_order_mod, profile
-from cyclocode.errors import BudgetExceeded, InvalidArgument
+from cyclocode.errors import BudgetExceeded, CycloError, InvalidArgument
 from cyclocode.field import is_prime, make_prime_field, nth_root_of_unity, parse_field
 from cyclocode.poly import Poly, reciprocal
 
@@ -200,6 +204,15 @@ def test_rref_edge_cases(literal):
     assert GenMatrix(ctx, [], n=5).rref().rows.shape == (0, 5)
 
 
+def test_genmatrix_n_must_match_the_columns():
+    with pytest.raises(InvalidArgument, match="3 columns, n = 4"):
+        GenMatrix(F2, [[1, 0, 1]], n=4)
+    with pytest.raises(InvalidArgument, match="0 columns, n = 2"):
+        GenMatrix(F2, [[]], n=2)
+    assert GenMatrix(F2, [[1, 0, 1]], n=3).n == 3
+    assert GenMatrix(F2, [], n=4).rows.shape == (0, 4)
+
+
 def test_genmatrix_equality_is_row_space_equality():
     assert GenMatrix(F2, [[1, 1], [0, 1]]) == GenMatrix(F2, [[1, 0], [0, 1]])
     assert GenMatrix(F3, [[2, 2, 0], [1, 1, 0]]) == GenMatrix(F3, [[1, 1, 0]])
@@ -266,6 +279,29 @@ def test_refused_cyclic_code_is_not_row_reduced(monkeypatch):
     assert reduced == [15]
     assert min_distance(c, budget=127).d == 3
     assert reduced == [15]  # an accepted cyclic code reads its RREF off g
+
+
+def test_weight_2_floor_stops_the_walk_after_one_step(monkeypatch):
+    steps = []
+    weights = codes._weights
+
+    def counted(m, include_zero):
+        for w in weights(m, include_zero):
+            steps.append(len(w))
+            yield w
+
+    monkeypatch.setattr(codes, "_weights", counted)
+    r = min_distance(dual(build_Cn(23, F2)))  # k = 22: 2^9 steps of 2^13 codewords
+    assert (r.d, len(steps)) == (2, 1)
+    assert r.codewords_enumerated == 2 ** 22 - 1
+    assert r.method == "exhaustive-messages"
+
+
+def test_min_distance_needs_an_rref_basis(monkeypatch):
+    loose = GenMatrix(F2, [[1, 1, 0], [1, 0, 1]])  # not flagged canonical
+    monkeypatch.setattr(codes, "_basis_within_budget", lambda c, budget: (loose, 3))
+    with pytest.raises(CycloError, match="RREF"):
+        min_distance(loose)
 
 
 def _cyclic_code(ctx, n, reps):
@@ -359,6 +395,66 @@ def _any_divisor_codes(draw, literals):
     n = draw(st.sampled_from(lengths))
     reps = [c.representative for c in cosets(n, ctx.q)]
     return _cyclic_code(ctx, n, draw(st.lists(st.sampled_from(reps), unique=True)))
+
+
+def _table_sizes(ctx):
+    """Enumeration tables of 1, 2 or 3 prime-field rows, so that small codes
+    walk many high-row steps, and the default one."""
+    return st.sampled_from([ctx.p, ctx.p ** 2, ctx.p ** 3, _LOW_TABLE])
+
+
+@st.composite
+def _scrambled_bases(draw):
+    """(field, rows, table size): a full-rank basis that is not cyclic and
+    mostly not in RREF, with at most 729 codewords.
+
+    It is [I_k | P] with sparse P, so some rows have weight 1 or 2, its
+    columns permuted, then row operations row_i += c row_j that hide them.
+    """
+    literal = draw(st.sampled_from(["2", "3", "2^2", "3^2"]))
+    ctx = parse_field(literal)
+    k = draw(st.integers(1, {2: 8, 3: 5, 4: 4, 9: 3}[ctx.q]))
+    r = draw(st.integers(1, 5))
+    entry = st.one_of(st.just(0), st.integers(1, ctx.q - 1))
+    rows = [
+        [int(i == j) for j in range(k)] + draw(st.lists(entry, min_size=r, max_size=r))
+        for i in range(k)
+    ]
+    perm = draw(st.permutations(range(k + r)))
+    rows = [[row[j] for j in perm] for row in rows]
+    ops = st.tuples(st.integers(0, k - 1), st.integers(0, k - 1), st.integers(1, ctx.q - 1))
+    for i, j, c in draw(st.lists(ops, max_size=2 * k)):
+        if i != j:
+            rows[i] = [
+                naive_field_add(ctx, a, naive_field_mul(ctx, c, b))
+                for a, b in zip(rows[i], rows[j])
+            ]
+    return literal, rows, draw(_table_sizes(ctx))
+
+
+# The examples were found by search. With one row in the table, the first
+# walk step holds a codeword of weight 2, and every RREF row of weight 1
+# comes only in a high-row step.  No row of the second input has weight 1,
+# though three rows of its RREF do.
+@settings(max_examples=200, deadline=None)
+@given(_scrambled_bases())
+@example(("2", [[0, 0, 0, 0, 1], [1, 0, 0, 1, 0]], 2))
+@example(("2", [[0, 1, 0, 1, 0, 0], [1, 0, 1, 0, 0, 1], [1, 0, 1, 1, 0, 1], [1, 0, 1, 1, 0, 0]], 2))
+def test_min_distance_floor_matches_naive_oracle(case):
+    literal, rows, table = case
+    m = GenMatrix(parse_field(literal), rows)
+    with mock.patch.object(codes, "_LOW_TABLE", table):
+        assert min_distance(m).d == naive_min_distance(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _any_divisor_codes(["2", "3", "2^2", "3^2"]).filter(lambda c: 1 < c.ctx.q ** c.k <= 1 << 10),
+    st.data(),
+)
+def test_min_distance_of_divisor_codes_matches_naive_oracle(c, data):
+    with mock.patch.object(codes, "_LOW_TABLE", data.draw(_table_sizes(c.ctx))):
+        assert min_distance(c).d == naive_min_distance(c)
 
 
 def _check_generator_matrix(c):

@@ -165,6 +165,19 @@ def test_parse_field_literals():
         parse_field("4")
 
 
+@pytest.mark.parametrize("literal,message", [
+    ("4", "4 is not prime; write F_4 as 2^2"),
+    ("27", "27 is not prime; write F_27 as 3^3"),
+    ("9^3", "9 is not prime; write F_{9^3} as 3^6"),
+    ("6", "6 is not prime"),
+    ("1", "1 is not prime"),
+])
+def test_prime_power_literal_names_its_field(literal, message):
+    with pytest.raises(InvalidArgument) as exc:
+        parse_field(literal)
+    assert str(exc.value) == message
+
+
 # Every reducible modulus is refused when the context is made. The degree-10
 # ones, x^10, (x^5 + 1)^2 and (x^2 + x + 1)(x^8 + x^7 + x^5 + x^4 + x^3 + x + 1),
 # give contexts above TABLE_LIMIT, which build no tables, so Rabin's test

@@ -334,6 +334,13 @@ def test_cli_bad_arguments_exit_1_without_traceback(argv, capsys):
     assert captured.err.startswith("error: ")
 
 
+def test_cli_prime_power_field_literal_gets_a_hint(capsys):
+    assert cli_main(["code", "build", "--n", "5", "--field", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 4 is not prime; write F_4 as 2^2\n"
+
+
 @pytest.mark.parametrize("action", ["mindist", "weights"])
 @pytest.mark.parametrize("budget", ["0", "-5"])
 def test_cli_budget_below_1_rejected(action, budget, capsys):
