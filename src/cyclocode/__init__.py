@@ -21,7 +21,6 @@ from .codes import (  # noqa: F401
 from .cyclotomic import (  # noqa: F401
     cosets,
     cyclotomic_poly,
-    lpf,
     minimal_poly,
     profile,
     verify_factorization,
@@ -34,7 +33,7 @@ from .field import (  # noqa: F401
     parse_field,
 )
 from .poly import Poly, is_irreducible, reciprocal  # noqa: F401
-from .tensor import CrtMap, apply_psi, crt_map, kronecker, product_code  # noqa: F401
+from .tensor import apply_psi, crt_map, kronecker  # noqa: F401
 from .verify import SweepConfig, sweep  # noqa: F401
 
 __version__ = "0.1.0"

@@ -28,7 +28,7 @@ def _build_code(args, ctx):
     if args.gen:
         try:
             coeffs = json.loads(args.gen)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, or an int too long to convert
             raise InvalidArgument(f"--gen is not valid JSON: {exc}") from None
         if not isinstance(coeffs, list) or {type(c) for c in coeffs} - {int}:
             raise InvalidArgument(f"--gen must be a JSON list of integers: {args.gen}")

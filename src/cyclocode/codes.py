@@ -16,15 +16,14 @@ field: a table of all combinations of the first rows, walked by an odometer
 over the remaining rows.
 """
 
-import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclotomic import cyclotomic_cofactor, cyclotomic_poly
+from .cyclotomic import cyclotomic_cofactor, cyclotomic_poly, multiplicative_order_mod
 from .errors import BudgetExceeded, CycloError, InvalidArgument
-from .field import ROOT_SEARCH_LIMIT, is_prime, make_extension, nth_root_of_unity
+from .field import is_prime, make_extension, nth_root_of_unity
 from .poly import Poly, reciprocal
 
 DEFAULT_BUDGET = 1 << 24
@@ -88,15 +87,6 @@ class GenMatrix:
                 rows[hit] = ctx.add_array(rows[hit], scaled)
             top += 1
         return GenMatrix(ctx, rows[:top], n=self.n, canonical=True)
-
-    def __eq__(self, other):
-        """Equal when over the same field and length with the same row space."""
-        return (
-            isinstance(other, GenMatrix)
-            and self.ctx == other.ctx
-            and self.n == other.n
-            and np.array_equal(self.rref().rows, other.rref().rows)
-        )
 
     def __repr__(self):
         return f"GenMatrix({self.ctx!r}, {self.num_rows}x{self.n})"
@@ -381,17 +371,10 @@ def weight_distribution(c, budget=DEFAULT_BUDGET):
     return [int(x) for x in counts]
 
 
-def zeros_and_nonzeros(c, cap=ROOT_SEARCH_LIMIT):
+def zeros_and_nonzeros(c):
     """Defining set T = {i : g(zeta^i) = 0} and its complement in Z_n."""
-    from .cyclotomic import multiplicative_order_mod
-
     n, ctx = c.n, c.ctx
-    if math.gcd(n, ctx.q) != 1:
-        raise InvalidArgument(f"gcd({n}, {ctx.q}) != 1")
-    t = multiplicative_order_mod(ctx.q, n)
-    if ctx.q ** t > cap:
-        raise InvalidArgument(f"q^t = {ctx.q ** t} exceeds the cap {cap}")
-    ext = make_extension(ctx, t, cap=cap)
+    ext = make_extension(ctx, multiplicative_order_mod(ctx.q, n))
     big = ext.field
     zeta = nth_root_of_unity(big, n)
     zeros = []

@@ -20,7 +20,7 @@ class ArithmeticProfile:
     n: int
     phi: int
     omega: int
-    lpf: int | None  # None for n = 1; use lpf() for the checked accessor
+    lpf: int | None  # None for n = 1
     divisors: tuple
     factorization: tuple
 
@@ -53,13 +53,6 @@ def profile(n):
         divisors=tuple(divs),
         factorization=fact,
     )
-
-
-def lpf(n):
-    """Least prime factor; n = 1 has none and is rejected."""
-    if n < 2:
-        raise InvalidArgument(f"lpf is undefined for n < 2, got {n}")
-    return profile(n).lpf
 
 
 # -- integer cyclotomic polynomials ------------------------------------------

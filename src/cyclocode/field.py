@@ -230,16 +230,6 @@ class FieldCtx:
 
     # -- multiplicative structure ------------------------------------------
 
-    def element_order(self, a):
-        """Least e >= 1 with a^e = 1; divides q - 1."""
-        if a == 0:
-            raise InvalidArgument("0 has no multiplicative order")
-        e = self.q - 1
-        for r, _ in factorize(e):
-            while e % r == 0 and self.pow(a, e // r) == 1:
-                e //= r
-        return e
-
     def primitive_element(self):
         """Canonically-least a with a^(q-1) = 1 and a^((q-1)/r) != 1 for each
         prime r | q - 1; none exists when the modulus is reducible."""
@@ -333,12 +323,7 @@ def make_prime_field(p):
     """The prime field F_p."""
     if not is_prime(p):
         raise InvalidArgument(f"{p} is not prime")
-    return _prime_field(p)
-
-
-@lru_cache(maxsize=None)
-def _prime_field(p):
-    return FieldCtx(p)
+    return _extension_field(p, 1)
 
 
 @lru_cache(maxsize=None)
@@ -361,24 +346,22 @@ def _canonical_modulus(p, d):
 
 @lru_cache(maxsize=None)
 def _extension_field(p, l):
-    if l == 1:
-        return make_prime_field(p)
-    return FieldCtx(p, l, _canonical_modulus(p, l))
+    return FieldCtx(p) if l == 1 else FieldCtx(p, l, _canonical_modulus(p, l))
 
 
-def make_extension(base, m, cap=ROOT_SEARCH_LIMIT):
+def make_extension(base, m):
     """F_{q^m} as a single F_p-extension of degree l*m, with base embedded.
 
     The base field is located inside the big field as the canonically-least
     root of its defining polynomial among the elements of order dividing q-1.
     Each (base, m) is built once and shared, with the embedding tables it
-    fills on use; cap only decides whether the request is allowed.
+    fills on use.  q^m may not exceed ROOT_SEARCH_LIMIT.
     """
     if m < 1:
         raise InvalidArgument("extension degree must be >= 1")
-    if base.q ** m > cap:
+    if base.q ** m > ROOT_SEARCH_LIMIT:
         raise InvalidArgument(
-            f"q^m = {base.q ** m} exceeds the support cap {cap}"
+            f"q^m = {base.q}^{m} exceeds the support cap {ROOT_SEARCH_LIMIT}"
         )
     return _extension(base, m)
 
@@ -450,8 +433,12 @@ def parse_field(literal):
         raise InvalidArgument(f"field literal {s!r} is not p or p^l") from None
     if l < 1:
         raise InvalidArgument(f"field literal {s!r} needs an exponent l >= 1")
+    # Refuse a large order before the trial division, which a large prime
+    # keeps busy for ever, and before p ** l, which a large l makes too long
+    # to print. As p >= 2, any l > 16 already gives an order above 2^16.
+    if p > 1 and (p > CONTEXT_LIMIT or l > 16 or p ** l > CONTEXT_LIMIT):
+        order = p if l == 1 else f"{p}^{l}"
+        raise InvalidArgument(f"field order {order} exceeds {CONTEXT_LIMIT}")
     if not is_prime(p):
         raise InvalidArgument(f"{p} is not prime{_prime_power_hint(p, l)}")
-    if p ** l > CONTEXT_LIMIT:
-        raise InvalidArgument(f"field order {p ** l} exceeds {CONTEXT_LIMIT}")
     return _extension_field(p, l)

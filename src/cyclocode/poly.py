@@ -154,9 +154,6 @@ class Poly:
                 rem[i + j] = add(rem[i + j], mul(minus_f, bc))
         return Poly(ctx, quot), Poly(ctx, rem)
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
     def __mod__(self, other):
         return divmod(self, other)[1]
 

@@ -32,8 +32,6 @@ THEOREM_IDS = (
     "CONJECTURE-CN1-DUAL",
 )
 
-STATUSES = ("pass", "fail", "skipped", "n/a", "observed")
-
 
 @dataclass
 class VerificationRecord:
@@ -61,21 +59,6 @@ class VerificationRecord:
             "elapsed_s": round(self.elapsed, 3),
             "note": self.note,
         }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            theorem_id=d["theorem_id"],
-            q=d["q"],
-            n=d.get("n"),
-            n1=d.get("n1"),
-            n2=d.get("n2"),
-            claimed=tuple(d.get("claimed", (None, None, None))),
-            measured=tuple(d.get("measured", (None, None, None))),
-            status=d["status"],
-            elapsed=d.get("elapsed_s", 0.0),
-            note=d.get("note", ""),
-        )
 
     def to_csv_row(self):
         def s(v):

@@ -9,7 +9,6 @@ product into a cyclic code of length n1*n2.
 
 import math
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,23 +20,15 @@ from .field import make_extension  # noqa: F401  perfbench/smoke.py checks this 
 from .report import VerificationRecord
 
 
-@dataclass(frozen=True)
-class CrtMap:
-    n1: int
-    n2: int
-    table: tuple  # table[i*n2 + j] = the CRT image of (i, j)
-
-    def psi(self, i, j):
-        return self.table[(i % self.n1) * self.n2 + (j % self.n2)]
-
-
 def crt_map(n1, n2):
+    """The CRT bijection as a table: table[i*n2 + j] is the z in Z_{n1*n2}
+    with z = i mod n1 and z = j mod n2."""
     if math.gcd(n1, n2) != 1:
         raise InvalidArgument(f"gcd({n1}, {n2}) != 1")
-    table = [0] * (n1 * n2)
-    for z in range(n1 * n2):
-        table[(z % n1) * n2 + (z % n2)] = z
-    return CrtMap(n1=n1, n2=n2, table=tuple(table))
+    z = np.arange(n1 * n2)
+    table = np.empty_like(z)
+    table[z % n1 * n2 + z % n2] = z
+    return table
 
 
 def kronecker(g1, g2):
@@ -51,34 +42,13 @@ def kronecker(g1, g2):
     return GenMatrix(g1.ctx, out.reshape(r1 * r2, c1 * c2), n=c1 * c2)
 
 
-@dataclass
-class ProductCode:
-    factor1: object  # length n1; columns of the array
-    factor2: object  # length n2; rows of the array
-    generator: GenMatrix
-
-    @property
-    def n1(self):
-        return codes._as_matrix(self.factor1).n
-
-    @property
-    def n2(self):
-        return codes._as_matrix(self.factor2).n
-
-
-def product_code(c1, c2):
-    g1 = codes._as_matrix(c1)
-    g2 = codes._as_matrix(c2)
-    return ProductCode(factor1=c1, factor2=c2, generator=kronecker(g1, g2))
-
-
-def apply_psi(pc, cmap):
-    """Permute the flattened product-code columns through the CRT bijection."""
-    gen = pc.generator
-    if gen.n != cmap.n1 * cmap.n2 or (pc.n1, pc.n2) != (cmap.n1, cmap.n2):
-        raise InvalidArgument("CRT map does not match the product layout")
+def apply_psi(g1, g2):
+    """The product of the codes g1 (length n1) and g2 (length n2) as a code of
+    length n1*n2: kronecker(g1, g2) with column i*n2 + j moved to its CRT
+    image crt_map(n1, n2)[i*n2 + j]."""
+    gen = kronecker(g1, g2)
     out = np.empty_like(gen.rows)
-    out[:, list(cmap.table)] = gen.rows
+    out[:, crt_map(g1.n, g2.n)] = gen.rows
     return GenMatrix(gen.ctx, out)
 
 
@@ -88,10 +58,10 @@ def verify_tensor_dual(n1, n2, ctx, budget=codes.DEFAULT_BUDGET):
         raise InvalidArgument(f"gcd({n1}, {n2}) != 1")
     t0 = time.perf_counter()
     n = n1 * n2
-    d1 = dual(build_Cn(n1, ctx))
-    d2 = dual(build_Cn(n2, ctx))
-    pc = product_code(d1, d2)
-    image = apply_psi(pc, crt_map(n1, n2)).rref()
+    image = apply_psi(
+        dual(build_Cn(n1, ctx)).generator_matrix(),
+        dual(build_Cn(n2, ctx)).generator_matrix(),
+    ).rref()
     target = dual(build_Cn(n, ctx))
     equal = same_code(image, target)
     claimed = (n, profile(n).phi, 2 ** profile(n).omega)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field as dc_field
 
 from . import codes, tensor
 from .cyclotomic import profile, verify_factorization
-from .errors import BudgetExceeded, ConfigInvalid
+from .errors import BudgetExceeded, ConfigInvalid, CycloError
 from .field import is_prime, parse_field
 from .report import THEOREM_IDS, VerificationRecord
 
@@ -74,7 +74,7 @@ class SweepConfig:
         for lit in self.fields:
             try:
                 parse_field(lit)
-            except Exception as exc:
+            except CycloError as exc:
                 raise ConfigInvalid(f"bad field literal {lit!r}: {exc}") from exc
         return self
 
@@ -93,7 +93,7 @@ class SweepConfig:
         try:
             with open(path) as fh:
                 data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON, UTF-8 or a huge int
             raise ConfigInvalid(f"cannot read config {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigInvalid("config must be a JSON object")

@@ -214,13 +214,13 @@ def test_genmatrix_n_must_match_the_columns():
 
 
 def test_genmatrix_equality_is_row_space_equality():
-    assert GenMatrix(F2, [[1, 1], [0, 1]]) == GenMatrix(F2, [[1, 0], [0, 1]])
-    assert GenMatrix(F3, [[2, 2, 0], [1, 1, 0]]) == GenMatrix(F3, [[1, 1, 0]])
-    assert GenMatrix(F2, [[1, 1, 0]]) != GenMatrix(F2, [[1, 0, 1]])
-    assert GenMatrix(F2, [[1, 1]]) != GenMatrix(F3, [[1, 1]])
-    assert GenMatrix(F2, [], n=2) != GenMatrix(F2, [], n=3)
-    assert GenMatrix(F2, [[1, 1]]) != [[1, 1]]
-    assert GenMatrix.__hash__ is None
+    assert same_code(GenMatrix(F2, [[1, 1], [0, 1]]), GenMatrix(F2, [[1, 0], [0, 1]]))
+    assert same_code(GenMatrix(F3, [[2, 2, 0], [1, 1, 0]]), GenMatrix(F3, [[1, 1, 0]]))
+    assert not same_code(GenMatrix(F2, [[1, 1, 0]]), GenMatrix(F2, [[1, 0, 1]]))
+    with pytest.raises(InvalidArgument, match="different fields"):
+        same_code(GenMatrix(F2, [[1, 1]]), GenMatrix(F3, [[1, 1]]))
+    with pytest.raises(InvalidArgument, match="lengths 2 and 3"):
+        same_code(GenMatrix(F2, [], n=2), GenMatrix(F2, [], n=3))
 
 
 def test_same_code_checks():

@@ -9,7 +9,6 @@ from cyclocode.cyclotomic import (
     cyclotomic_cofactor,
     cyclotomic_int,
     cyclotomic_poly,
-    lpf,
     minimal_poly,
     multiplicative_order_mod,
     profile,
@@ -37,14 +36,8 @@ def test_profile_examples():
     assert p12.factorization == ((2, 2), (3, 1))
 
 
-def test_lpf_rejects_one():
-    with pytest.raises(ValueError):
-        lpf(1)
-    assert lpf(15) == 3
-
-
 def test_n_checks_raise_library_errors():
-    for call in (lambda: lpf(1), lambda: profile(0), lambda: cyclotomic_poly(0, F2)):
+    for call in (lambda: profile(0), lambda: cyclotomic_poly(0, F2)):
         with pytest.raises(CycloError):
             call()
 

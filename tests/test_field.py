@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -58,31 +59,27 @@ def test_primitive_elements():
     assert make_prime_field(7).primitive_element() == 3
 
 
-def test_element_order_examples():
-    f7 = make_prime_field(7)
-    assert f7.element_order(2) == 3
-    assert f7.element_order(1) == 1
-    assert make_prime_field(5).element_order(4) == 2
-    with pytest.raises(InvalidArgument, match="order"):
-        f7.element_order(0)
+def _order(ctx, a):
+    """Least e >= 1 with a^e = 1, by counting up."""
+    return next(e for e in range(1, ctx.q) if ctx.pow(a, e) == 1)
 
 
 @pytest.mark.parametrize("literal", ["2", "3", "5", "2^2", "2^3", "3^2", "2^4"])
 def test_element_order_divides_group_order(literal):
     ctx = parse_field(literal)
     for a in range(1, ctx.q):
-        assert (ctx.q - 1) % ctx.element_order(a) == 0
+        assert (ctx.q - 1) % _order(ctx, a) == 0
 
 
 def test_nth_root_of_unity():
     f7 = make_prime_field(7)
     zeta = nth_root_of_unity(f7, 3)
     assert zeta == 2
-    assert f7.element_order(zeta) == 3
+    assert (f7.pow(zeta, 3), f7.pow(zeta, 1)) == (1, 2)
     assert nth_root_of_unity(f7, 1) == 1
     f4 = parse_field("2^2")
     zeta4 = nth_root_of_unity(f4, 3)
-    assert f4.element_order(zeta4) == 3
+    assert _order(f4, zeta4) == 3
     with pytest.raises(InvalidArgument, match="does not divide"):
         nth_root_of_unity(f7, 5)
 
@@ -96,17 +93,19 @@ def test_make_extension_basic():
 
 
 def test_make_extension_cap():
-    with pytest.raises(InvalidArgument, match="exceeds"):
+    with pytest.raises(InvalidArgument, match=r"2\^25 exceeds the support cap 16777216"):
         make_extension(make_prime_field(2), 25)
+    f4 = parse_field("2^2")
+    assert make_extension(f4, 12).field.q == 1 << 24
+    with pytest.raises(InvalidArgument, match=r"4\^13 exceeds"):  # 4^13 = 2^26
+        make_extension(f4, 13)
 
 
 def test_make_extension_is_built_once():
     f4 = parse_field("2^2")
     ext = make_extension(f4, 3)
-    assert make_extension(f4, 3, cap=1 << 12) is ext
+    assert make_extension(f4, 3) is ext
     assert make_extension(f4, 2) is not ext
-    with pytest.raises(InvalidArgument, match="exceeds"):  # a smaller cap still refuses
-        make_extension(f4, 3, cap=63)
 
 
 def test_f4_in_f16_fixed_by_frobenius():
@@ -163,6 +162,16 @@ def test_parse_field_literals():
     assert parse_field("2^3").q == 8
     with pytest.raises(InvalidArgument, match="4 is not prime"):
         parse_field("4")
+
+
+@pytest.mark.parametrize("literal", [
+    "65537", "2^17", "3^11", "4^9", "2305843009213693951", "2^100000000",
+])
+def test_parse_field_refuses_large_orders_before_the_primality_test(literal):
+    with mock.patch("cyclocode.field.is_prime", side_effect=AssertionError("is_prime ran")):
+        with pytest.raises(InvalidArgument) as exc:
+            parse_field(literal)
+    assert str(exc.value) == f"field order {literal} exceeds 65536"
 
 
 @pytest.mark.parametrize("literal,message", [

@@ -14,13 +14,7 @@ from cyclocode.codes import (
 from cyclocode.errors import InvalidArgument
 from cyclocode.field import make_prime_field, parse_field
 from cyclocode.poly import Poly
-from cyclocode.tensor import (
-    apply_psi,
-    crt_map,
-    kronecker,
-    product_code,
-    verify_tensor_dual,
-)
+from cyclocode.tensor import apply_psi, crt_map, kronecker, verify_tensor_dual
 
 F2 = make_prime_field(2)
 F3 = make_prime_field(3)
@@ -28,19 +22,20 @@ F5 = make_prime_field(5)
 
 
 def test_crt_map_examples():
-    m = crt_map(3, 5)
-    assert m.psi(1, 1) == 1
-    assert m.psi(2, 3) == 8
-    assert m.psi(0, 0) == 0
+    table = crt_map(3, 5)
+    assert isinstance(table, np.ndarray) and table.dtype.kind == "i"
+    assert table[1 * 5 + 1] == 1
+    assert table[2 * 5 + 3] == 8
+    assert table[0] == 0
 
 
 def test_crt_map_bijection_and_congruences():
     for n1, n2 in [(3, 5), (4, 9), (2, 7), (5, 8)]:
-        m = crt_map(n1, n2)
-        assert sorted(m.table) == list(range(n1 * n2))
+        table = crt_map(n1, n2)
+        assert sorted(table.tolist()) == list(range(n1 * n2))
         for i in range(n1):
             for j in range(n2):
-                z = m.psi(i, j)
+                z = table[i * n2 + j]
                 assert z % n1 == i and z % n2 == j
 
 
@@ -78,62 +73,64 @@ def test_kronecker_extension_field_entries():
     assert k.rows.tolist() == expected
 
 
+def _dual_cn(n, ctx):
+    return dual(build_Cn(n, ctx)).generator_matrix()
+
+
 def test_apply_psi_identity_when_factor_is_one():
     c = build_Cn(5, F2)
-    pc = product_code(build_repetition(1, F2), c)
-    image = apply_psi(pc, crt_map(1, 5))
+    image = apply_psi(build_repetition(1, F2).generator_matrix(), c.generator_matrix())
     assert same_code(image, c)
 
 
 def test_apply_psi_matches_dual_of_product_length():
-    pc = product_code(dual(build_Cn(3, F2)), dual(build_Cn(5, F2)))
-    image = apply_psi(pc, crt_map(3, 5))
+    image = apply_psi(_dual_cn(3, F2), _dual_cn(5, F2))
     assert same_code(image, dual(build_Cn(15, F2)))
+
+
+@pytest.mark.parametrize("ctx", [F2, parse_field("2^2")], ids=repr)
+def test_apply_psi_either_factor_order_gives_the_dual(ctx):
+    # the layout comes from the factors, so swapping them swaps the map too
+    g3, g5 = _dual_cn(3, ctx), _dual_cn(5, ctx)
+    target = dual(build_Cn(15, ctx))
+    assert same_code(apply_psi(g3, g5), target)
+    assert same_code(apply_psi(g5, g3), target)
 
 
 def test_apply_psi_keeps_length_of_zero_row_product():
     assert GenMatrix(F2, np.zeros((0, 4), dtype=np.int64)).n == 4
     zero = from_generator(Poly.x_n_minus_1(F2, 3), 3)  # k = 0
-    pc = product_code(zero, build_repetition(5, F2))
-    image = apply_psi(pc, crt_map(3, 5))
+    image = apply_psi(zero.generator_matrix(), build_repetition(5, F2).generator_matrix())
     assert (image.num_rows, image.n) == (0, 15)
 
 
-def test_apply_psi_dimension_mismatch():
-    pc = product_code(dual(build_Cn(3, F2)), dual(build_Cn(5, F2)))
-    with pytest.raises(InvalidArgument, match="does not match"):
-        apply_psi(pc, crt_map(3, 7))
-
-
 def test_psi_image_is_cyclic():
-    pc = product_code(dual(build_Cn(3, F2)), dual(build_Cn(5, F2)))
-    image = apply_psi(pc, crt_map(3, 5))
+    image = apply_psi(_dual_cn(3, F2), _dual_cn(5, F2))
     shifted = GenMatrix(image.ctx, np.roll(image.rows, 1, axis=1))
     assert same_code(shifted, image)
 
 
 def test_psi_commutes_with_simultaneous_shifts():
     # shifting the product array in both coordinates multiplies z by one step
-    pc = product_code(dual(build_Cn(3, F2)), dual(build_Cn(5, F2)))
-    cmap = crt_map(3, 5)
-    gen = pc.generator.rows
+    g1, g2 = _dual_cn(3, F2), _dual_cn(5, F2)
+    table = crt_map(3, 5)
+    gen = kronecker(g1, g2).rows
     n1, n2 = 3, 5
     shifted = np.empty_like(gen)
     for i in range(n1):
         for j in range(n2):
             shifted[:, ((i + 1) % n1) * n2 + ((j + 1) % n2)] = gen[:, i * n2 + j]
-    lhs = apply_psi(product_code(pc.factor1, pc.factor2), cmap).rows
-    lhs_rolled = np.roll(lhs, 1, axis=1)
+    lhs_rolled = np.roll(apply_psi(g1, g2).rows, 1, axis=1)
     rhs = np.empty_like(gen)
-    rhs[:, list(cmap.table)] = shifted
+    rhs[:, table] = shifted
     assert np.array_equal(lhs_rolled, rhs)
 
 
 def test_product_distance_multiplies():
-    pc = product_code(dual(build_Cn(3, F2)), dual(build_Cn(5, F2)))
-    assert min_distance(pc.generator).d == 4  # 2 * 2
-    pc2 = product_code(build_repetition(2, F3), build_repetition(3, F3))
-    assert min_distance(pc2.generator).d == 6
+    assert min_distance(kronecker(_dual_cn(3, F2), _dual_cn(5, F2))).d == 4  # 2 * 2
+    reps = kronecker(build_repetition(2, F3).generator_matrix(),
+                     build_repetition(3, F3).generator_matrix())
+    assert min_distance(reps).d == 6
 
 
 def test_kronecker_order_swap_is_permutation_equivalent():
@@ -171,5 +168,5 @@ def test_nonzeros_of_product_are_units():
         _, nz1 = zeros_and_nonzeros(dual(build_Cn(n1, ctx)))
         _, nz2 = zeros_and_nonzeros(dual(build_Cn(n2, ctx)))
         _, nz = zeros_and_nonzeros(dual(build_Cn(n1 * n2, ctx)))
-        m = crt_map(n1, n2)
-        assert sorted(nz) == sorted(m.psi(i, j) for i in nz1 for j in nz2)
+        table = crt_map(n1, n2)
+        assert sorted(nz) == sorted(table[i * n2 + j] for i in nz1 for j in nz2)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -165,17 +166,12 @@ def test_emit_report_csv(tmp_path):
 
 def test_emit_report_json_round_trip(tmp_path):
     path = tmp_path / "out.json"
-    rec = VerificationRecord(
+    records = [VerificationRecord(
         theorem_id="CN-DUAL-DIST", q=3, n=8, claimed=(8, 4, 2), measured=(8, 4, 2),
         status="pass", elapsed=0.5,
-    )
-    emit_report([rec], "json", str(path))
-    loaded = [VerificationRecord.from_dict(d) for d in json.loads(path.read_text())]
-    assert len(loaded) == 1
-    got = loaded[0]
-    assert (got.theorem_id, got.q, got.n, got.claimed, got.measured, got.status) == (
-        "CN-DUAL-DIST", 3, 8, (8, 4, 2), (8, 4, 2), "pass",
-    )
+    )]
+    emit_report(records, "json", str(path))
+    assert json.loads(path.read_text()) == [r.to_dict() for r in records]
 
 
 def test_sweep_determinism(tmp_path):
@@ -242,6 +238,20 @@ def test_cli_bad_config_exit_2(tmp_path, capsys):
     rc = cli_main(["verify", "sweep", "--config", str(cfg)])
     capsys.readouterr()
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe{", b'{"fields": [' + b"7" * 5000 + b"]}"],
+    ids=["not-utf-8", "int-too-long"],
+)
+def test_cli_unreadable_config_exit_2(content, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(content)
+    assert cli_main(["verify", "sweep", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: cannot read config {cfg}: ")
 
 
 @pytest.mark.parametrize(
@@ -319,12 +329,13 @@ def test_cli_conjecture_run_ignores_config_theorems(tmp_path, capsys):
         ["code", "build", "--n", "4", "--field", "2^0"],
         ["code", "weights", "--n", "-2", "--field", "2", "--gen", "[1]"],
         ["code", "build", "--n", "0", "--field", "2", "--gen", "[1]"],
+        ["code", "build", "--n", "4", "--field", "5", "--gen", "[" + "7" * 5000 + "]"],
     ],
     ids=[
         "cyclo-n0", "mindist-n1", "mindist-zero-code", "build-non-element",
         "gen-float", "gen-string", "gen-not-list", "gen-bad-json",
         "field-abc", "field-bad-exponent", "field-zero-exponent",
-        "gen-negative-n", "gen-n0",
+        "gen-negative-n", "gen-n0", "gen-int-too-long",
     ],
 )
 def test_cli_bad_arguments_exit_1_without_traceback(argv, capsys):
@@ -339,6 +350,43 @@ def test_cli_prime_power_field_literal_gets_a_hint(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: 4 is not prime; write F_4 as 2^2\n"
+
+
+# 2^61 - 1 is prime, and its trial division would run for minutes; 2^100000000
+# has too many digits to print.
+OUT_OF_RANGE_FIELDS = ["2305843009213693951", "2^100000000"]
+
+
+@pytest.mark.parametrize("literal", OUT_OF_RANGE_FIELDS)
+def test_cli_out_of_range_field_literal_refused_at_once(literal, capsys):
+    t0 = time.perf_counter()
+    assert cli_main(["code", "build", "--n", "5", "--field", literal]) == 1
+    assert time.perf_counter() - t0 < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: field order {literal} exceeds 65536\n"
+
+
+@pytest.mark.parametrize("literal", OUT_OF_RANGE_FIELDS)
+def test_cli_config_out_of_range_field_literal_exit_2(literal, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"fields": [literal], "n_range": [2, 4]}))
+    t0 = time.perf_counter()
+    assert cli_main(["verify", "sweep", "--config", str(cfg)]) == 2
+    assert time.perf_counter() - t0 < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"config error: bad field literal {literal!r}: field order {literal} exceeds 65536\n"
+    )
+
+
+def test_cli_zeros_beyond_the_root_search_limit_names_q_and_m(capsys):
+    # 256 has order 1829 mod 3659, and 256^1829 has over 4,300 digits
+    assert cli_main(["code", "zeros", "--n", "3659", "--field", "2^8"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: q^m = 256^1829 exceeds the support cap 16777216\n"
 
 
 @pytest.mark.parametrize("action", ["mindist", "weights"])
