@@ -80,13 +80,13 @@ def _cmd_code(args):
     return 0
 
 
-def _finish(records, output, fmt, deterministic):
-    if deterministic:
+def _finish(records, args, cfg):
+    if args.deterministic:
         records = zero_elapsed(records)
-    if output:
-        emit_report(records, fmt, output)
-    else:
-        print(json.dumps([r.to_dict() for r in records], indent=2))
+    output = args.output or cfg.output
+    # stdout takes only an explicit --format; a file also the config's format
+    fmt = args.format or (cfg.format if output else "json")
+    emit_report(records, fmt, output or sys.stdout)
     return 1 if any(r.status == "fail" for r in records) else 0
 
 
@@ -97,11 +97,7 @@ def _cmd_verify(args):
         print(json.dumps(rec.to_dict(), indent=2))
         return 1 if rec.status == "fail" else 0
     cfg = SweepConfig.from_file(args.config) if args.config else SweepConfig()
-    records = sweep(cfg)
-    return _finish(
-        records, args.output or cfg.output, args.format or cfg.format,
-        args.deterministic,
-    )
+    return _finish(sweep(cfg), args, cfg)
 
 
 def _cmd_conjecture(args):
@@ -110,11 +106,7 @@ def _cmd_conjecture(args):
     else:
         cfg = SweepConfig(n_range=(2, args.n_max))
     cfg.theorems = ["CONJECTURE-CN1-DUAL"]  # a config file's theorems do not apply
-    records = sweep(cfg)
-    return _finish(
-        records, args.output or cfg.output, args.format or cfg.format,
-        args.deterministic,
-    )
+    return _finish(sweep(cfg), args, cfg)
 
 
 def build_parser():

@@ -320,7 +320,9 @@ class Extension:
 
 
 def make_prime_field(p):
-    """The prime field F_p."""
+    """The prime field F_p, for p up to CONTEXT_LIMIT."""
+    if p > CONTEXT_LIMIT:  # before is_prime, whose trial division is unbounded
+        raise InvalidArgument(f"field order {p} exceeds {CONTEXT_LIMIT}")
     if not is_prime(p):
         raise InvalidArgument(f"{p} is not prime")
     return _extension_field(p, 1)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 from .errors import CycloError
@@ -87,7 +88,7 @@ def zero_elapsed(records):
 
 
 def emit_report(records, fmt, path):
-    """Write records to path as csv or json.
+    """Write records as csv or json to path, or to an open text stream.
 
     Elapsed times are the only run-dependent field: pass the records through
     zero_elapsed first for identical files from identical configs.
@@ -95,14 +96,12 @@ def emit_report(records, fmt, path):
     if fmt not in ("csv", "json"):
         raise CycloError(f"unknown report format {fmt!r}")
     try:
-        if fmt == "csv":
-            with open(path, "w", newline="") as fh:
+        with nullcontext(path) if hasattr(path, "write") else open(path, "w", newline="") as fh:
+            if fmt == "csv":
                 writer = csv.writer(fh)
                 writer.writerow(CSV_COLUMNS)
-                for r in records:
-                    writer.writerow(r.to_csv_row())
-        else:
-            with open(path, "w") as fh:
+                writer.writerows(r.to_csv_row() for r in records)
+            else:
                 json.dump([r.to_dict() for r in records], fh, indent=2)
                 fh.write("\n")
     except OSError as exc:

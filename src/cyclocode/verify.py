@@ -3,12 +3,15 @@
 `sweep` makes one record per (field, n, theorem id). A theorem that does not
 apply at (q, n) gives an `n/a` row; otherwise the theorem's check in
 `_CHECKS` measures it and returns (claimed, measured, status, note).
+CN-DUAL-DIST and TENSOR-EQUIV claim the same distance of dual(C_n): the one
+`dual_cn_row` measures and judges it for both.
 """
 
 import json
 import math
 import time
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 from . import codes, tensor
 from .cyclotomic import profile, verify_factorization
@@ -150,7 +153,13 @@ def _cn1_dist(ctx, pr, budget):
     return _distance_row(codes.build_Cn1(pr.n, ctx), claimed, budget)
 
 
-def _cn_dual_dist(ctx, pr, budget):
+@lru_cache(maxsize=1)
+def dual_cn_row(ctx, pr, budget):
+    """The CN-DUAL-DIST row, dual(C_n) against (n, phi(n), 2^omega(n)).
+
+    TENSOR-EQUIV claims the same distance and takes it from here; the cached
+    row lets the two theorems of one (field, n) walk dual(C_n) once.
+    """
     claimed = (pr.n, pr.phi, 2 ** pr.omega)
     return _distance_row(codes.dual(codes.build_Cn(pr.n, ctx)), claimed, budget)
 
@@ -184,7 +193,7 @@ def _conjecture_cn1_dual(ctx, pr, budget):
 _CHECKS = {
     "CN-DIST": _cn_dist,
     "CN1-DIST": _cn1_dist,
-    "CN-DUAL-DIST": _cn_dual_dist,
+    "CN-DUAL-DIST": dual_cn_row,
     "TENSOR-EQUIV": _tensor_equiv,
     "CN1-DUAL-SUM": _cn1_dual_sum,
     "FACTORIZATION": _factorization,

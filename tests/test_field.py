@@ -174,6 +174,14 @@ def test_parse_field_refuses_large_orders_before_the_primality_test(literal):
     assert str(exc.value) == f"field order {literal} exceeds 65536"
 
 
+@pytest.mark.parametrize("p", [65537, 2 ** 61 - 1])
+def test_make_prime_field_refuses_large_p_before_the_primality_test(p):
+    with mock.patch("cyclocode.field.is_prime", side_effect=AssertionError("is_prime ran")):
+        with pytest.raises(InvalidArgument) as exc:
+            make_prime_field(p)
+    assert str(exc.value) == f"field order {p} exceeds 65536"
+
+
 @pytest.mark.parametrize("literal,message", [
     ("4", "4 is not prime; write F_4 as 2^2"),
     ("27", "27 is not prime; write F_27 as 3^3"),

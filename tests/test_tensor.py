@@ -14,6 +14,7 @@ from cyclocode.codes import (
 from cyclocode.errors import InvalidArgument
 from cyclocode.field import make_prime_field, parse_field
 from cyclocode.poly import Poly
+from cyclocode import tensor
 from cyclocode.tensor import apply_psi, crt_map, kronecker, verify_tensor_dual
 
 F2 = make_prime_field(2)
@@ -152,6 +153,21 @@ def test_verify_tensor_dual():
 
     with pytest.raises(InvalidArgument, match=r"gcd\(4, 6\)"):
         verify_tensor_dual(4, 6, F5)
+
+
+def test_verify_tensor_dual_beyond_the_budget_passes_on_the_equivalence():
+    rec = verify_tensor_dual(3, 7, F5, budget=10)
+    assert rec.status == "pass"
+    assert rec.measured == (21, 12, None)
+    assert rec.note == f"distance skipped (needs {5 ** 12 - 1} codewords)"
+
+
+def test_verify_tensor_dual_fails_when_the_codes_differ(monkeypatch):
+    monkeypatch.setattr(tensor, "same_code", lambda a, b: False)
+    rec = verify_tensor_dual(3, 5, F2)
+    assert rec.status == "fail"
+    assert rec.measured == (15, 8, 4)
+    assert rec.note == ""
 
 
 def test_nonzeros_of_product_are_units():

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from cyclocode import codes
 from cyclocode.cli import main as cli_main
 from cyclocode.codes import DEFAULT_BUDGET, build_Cn
 from cyclocode.errors import ConfigInvalid
@@ -14,7 +15,7 @@ from cyclocode.report import (
     emit_report,
     zero_elapsed,
 )
-from cyclocode.verify import SweepConfig, _distance_row, sweep
+from cyclocode.verify import SweepConfig, _distance_row, dual_cn_row, sweep
 
 
 def test_sweep_cn_dist_f2():
@@ -60,6 +61,27 @@ def test_sweep_no_silent_gaps():
             for t in cfg.theorems:
                 assert (t, q, n) in seen
     assert not [r for r in records if r.status == "fail"]
+
+
+@pytest.mark.parametrize(
+    "theorems", [["CN-DUAL-DIST", "TENSOR-EQUIV"], ["TENSOR-EQUIV", "CN-DUAL-DIST"]]
+)
+def test_sweep_walks_each_dual_cn_once(theorems, monkeypatch):
+    walks, min_distance = [], codes.min_distance
+
+    def counted(code, *args, **kwargs):
+        walks.append(code.n)
+        return min_distance(code, *args, **kwargs)
+
+    monkeypatch.setattr(codes, "min_distance", counted)
+    dual_cn_row.cache_clear()
+    records = sweep(SweepConfig(fields=["2"], n_range=(15, 21), theorems=theorems))
+    assert walks == [15, 17, 19, 21]  # TENSOR-EQUIV applies at 15 and 21
+    rows = {(r.theorem_id, r.n): r for r in records if r.status != "n/a"}
+    for n in (15, 21):
+        dual_dist, tensor = rows["CN-DUAL-DIST", n], rows["TENSOR-EQUIV", n]
+        assert dual_dist.status == tensor.status == "pass"
+        assert dual_dist.measured == tensor.measured == (n, dual_dist.claimed[1], 4)
 
 
 @pytest.mark.parametrize(
@@ -311,6 +333,27 @@ def test_cli_conjecture_run_ignores_config_theorems(tmp_path, capsys):
     rows = json.loads(capsys.readouterr().out)
     assert [r["n"] for r in rows] == list(range(2, 11))
     assert {r["theorem_id"] for r in rows} == {"CONJECTURE-CN1-DUAL"}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["conjecture", "run", "--n-max", "12", "--deterministic"],
+        ["verify", "sweep", "--config", "{cfg}", "--deterministic"],
+    ],
+)
+def test_cli_format_without_output_writes_that_format_to_stdout(
+    argv, fmt, tmp_path, capsys
+):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"fields": ["2", "3"], "n_range": [2, 12]}))
+    argv = [a.format(cfg=cfg) for a in argv] + ["--format", fmt]
+    report = tmp_path / f"report.{fmt}"
+    assert cli_main(argv + ["--output", str(report)]) == 0
+    assert capsys.readouterr().out == ""
+    assert cli_main(argv) == 0
+    assert capsys.readouterr().out == report.read_bytes().decode()
 
 
 @pytest.mark.parametrize(
