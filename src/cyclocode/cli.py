@@ -3,11 +3,15 @@
 Verbs:
   cyclo --n N --field Q                   cyclotomic polynomial + profile
   code {build,dual,mindist,weights,zeros} code construction and diagnostics
-  verify sweep --config FILE              batch theorem verification
+  verify sweep [--config FILE]            batch theorem verification
   verify tensor --n1 A --n2 B --field Q   single CRT-equivalence check
   conjecture run [--config FILE]          the sweep restricted to CONJECTURE-CN1-DUAL
 
-Exit codes: 0 = no failing record, 1 = at least one fail, 2 = config error.
+`verify sweep` and `conjecture run` share the report flags --output, --format
+and --deterministic. `verify tensor` prints one JSON record and refuses them.
+
+Exit codes: 0 = no failing record, 1 = at least one fail, 2 = config error
+or a refused command line.
 """
 
 import argparse
@@ -90,12 +94,14 @@ def _finish(records, args, cfg):
     return 1 if any(r.status == "fail" for r in records) else 0
 
 
-def _cmd_verify(args):
-    if args.action == "tensor":
-        ctx = parse_field(args.field)
-        rec = verify_tensor_dual(args.n1, args.n2, ctx)
-        print(json.dumps(rec.to_dict(), indent=2))
-        return 1 if rec.status == "fail" else 0
+def _cmd_tensor(args):
+    ctx = parse_field(args.field)
+    rec = verify_tensor_dual(args.n1, args.n2, ctx)
+    print(json.dumps(rec.to_dict(), indent=2))
+    return 1 if rec.status == "fail" else 0
+
+
+def _cmd_sweep(args):
     cfg = SweepConfig.from_file(args.config) if args.config else SweepConfig()
     return _finish(sweep(cfg), args, cfg)
 
@@ -129,39 +135,42 @@ def build_parser():
     p_code.add_argument("--budget", type=int, default=codes.DEFAULT_BUDGET)
     p_code.set_defaults(func=_cmd_code)
 
-    p_verify = sub.add_parser("verify", help="verify theorem claims")
-    p_verify.add_argument("action", choices=["sweep", "tensor"])
-    p_verify.add_argument("--config")
-    p_verify.add_argument("--n1", type=int)
-    p_verify.add_argument("--n2", type=int)
-    p_verify.add_argument("--field")
-    p_verify.add_argument("--output")
-    p_verify.add_argument("--format", choices=["csv", "json"])
-    p_verify.add_argument(
+    # the report flags of the two commands that write a sweep report
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--output")
+    report.add_argument("--format", choices=["csv", "json"])
+    report.add_argument(
         "--deterministic",
         action="store_true",
         help="zero elapsed times so identical configs give identical files",
     )
-    p_verify.set_defaults(func=_cmd_verify)
 
-    p_conj = sub.add_parser("conjecture", help="empirical conjecture checker")
+    p_verify = sub.add_parser("verify", help="verify theorem claims")
+    verify_sub = p_verify.add_subparsers(dest="action", required=True)
+    p_sweep = verify_sub.add_parser(
+        "sweep", parents=[report], help="batch theorem verification"
+    )
+    p_sweep.add_argument("--config")
+    p_sweep.set_defaults(func=_cmd_sweep)
+    p_tensor = verify_sub.add_parser("tensor", help="single CRT-equivalence check")
+    p_tensor.add_argument("--n1", type=int, required=True)
+    p_tensor.add_argument("--n2", type=int, required=True)
+    p_tensor.add_argument("--field", required=True)
+    p_tensor.set_defaults(func=_cmd_tensor)
+
+    p_conj = sub.add_parser(
+        "conjecture", parents=[report], help="empirical conjecture checker"
+    )
     p_conj.add_argument("action", choices=["run"])
     p_conj.add_argument("--config")
     p_conj.add_argument("--n-max", type=int, default=24)
-    p_conj.add_argument("--output")
-    p_conj.add_argument("--format", choices=["csv", "json"])
-    p_conj.add_argument("--deterministic", action="store_true")
     p_conj.set_defaults(func=_cmd_conjecture)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "verify" and args.action == "tensor":
-        if args.n1 is None or args.n2 is None or args.field is None:
-            parser.error("verify tensor needs --n1, --n2 and --field")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigInvalid as exc:

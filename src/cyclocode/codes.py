@@ -372,16 +372,23 @@ def weight_distribution(c, budget=DEFAULT_BUDGET):
 
 
 def zeros_and_nonzeros(c):
-    """Defining set T = {i : g(zeta^i) = 0} and its complement in Z_n."""
+    """Defining set T = {i : g(zeta^i) = 0} and its complement in Z_n.
+
+    g is embedded into the splitting field F_{q^t} once, and x = zeta^i
+    steps by one multiplication per i.
+    """
     n, ctx = c.n, c.ctx
     ext = make_extension(ctx, multiplicative_order_mod(ctx.q, n))
     big = ext.field
     zeta = nth_root_of_unity(big, n)
+    g = Poly(big, [ext.embed(a) for a in c.g.coeffs])
     zeros = []
     nonzeros = []
+    x = 1
     for i in range(n):
-        if c.g.eval(big.pow(zeta, i), ext=ext) == 0:
+        if g.eval(x) == 0:
             zeros.append(i)
         else:
             nonzeros.append(i)
+        x = big.mul(x, zeta)
     return tuple(zeros), tuple(nonzeros)

@@ -194,9 +194,7 @@ def multiplicative_order_mod(q, n):
 
 def minimal_poly(s, n, ctx):
     """M^(s) = prod over j in the coset of s of (x - zeta^j), as a base-field Poly."""
-    if math.gcd(n, ctx.q) != 1:
-        raise InvalidArgument(f"gcd({n}, {ctx.q}) != 1")
-    t = multiplicative_order_mod(ctx.q, n)
+    t = multiplicative_order_mod(ctx.q, n)  # refuses gcd(n, q) != 1
     ext = make_extension(ctx, t)
     big = ext.field
     zeta = nth_root_of_unity(big, n)

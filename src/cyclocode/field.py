@@ -26,19 +26,8 @@ ROOT_SEARCH_LIMIT = 1 << 24
 
 
 def is_prime(n):
-    """Trial-division primality check; inputs are desk-scale."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    i = 3
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 2
-    return True
+    """Whether n is prime, read off factorize; inputs are desk-scale."""
+    return n > 1 and factorize(n) == [(n, 1)]
 
 
 def factorize(n):
@@ -321,11 +310,7 @@ class Extension:
 
 def make_prime_field(p):
     """The prime field F_p, for p up to CONTEXT_LIMIT."""
-    if p > CONTEXT_LIMIT:  # before is_prime, whose trial division is unbounded
-        raise InvalidArgument(f"field order {p} exceeds {CONTEXT_LIMIT}")
-    if not is_prime(p):
-        raise InvalidArgument(f"{p} is not prime")
-    return _extension_field(p, 1)
+    return _checked_field(p, 1)
 
 
 @lru_cache(maxsize=None)
@@ -380,21 +365,16 @@ def _extension(base, m):
 
 def _subfield_root(base, big):
     """Canonically-least root of base's modulus among the F_q elements of big."""
+    from .poly import Poly
+
     gamma = big.primitive_element()
     step = (big.q - 1) // (base.q - 1)
-    mod = base.modulus
+    f = Poly(big, base.modulus)  # prime-subfield coefficients encode as themselves
     candidates = [0] + [big.pow(gamma, step * k) for k in range(base.q - 1)]
-    best = None
-    for x in candidates:
-        # Horner evaluation of the base modulus (prime-subfield coefficients)
-        acc = 0
-        for c in reversed(mod):
-            acc = big.add(big.mul(acc, x), c % big.p)
-        if acc == 0 and (best is None or x < best):
-            best = x
-    if best is None:
+    roots = [x for x in candidates if f.eval(x) == 0]
+    if not roots:
         raise CycloError("base modulus has no root in the extension")
-    return best
+    return min(roots)
 
 
 def nth_root_of_unity(ctx, n):
@@ -406,23 +386,27 @@ def nth_root_of_unity(ctx, n):
 
 def _prime_power_hint(p, l):
     """"; write F_4 as 2^2" when a literal's base p = r^e is a prime power,
-    as F_(p^l) is then r^(e l); "" for any other p that is not prime.
-
-    Only the least factor r is searched for, as is_prime already did; a
-    full factorize would go on through a large cofactor of p."""
-    if p < 4:
+    as F_(p^l) is then r^(e l); "" for any other p that is not prime."""
+    fact = factorize(p)
+    if len(fact) != 1:
         return ""
-    r = 2
-    while p % r:
-        r += 1
-    e, rest = 0, p
-    while rest % r == 0:
-        rest //= r
-        e += 1
-    if rest != 1:
-        return ""
+    (r, e), = fact
     name = p if l == 1 else f"{{{p}^{l}}}"
     return f"; write F_{name} as {r}^{e * l}"
+
+
+def _checked_field(p, l):
+    """F_(p^l) for a prime p and p^l <= CONTEXT_LIMIT; else InvalidArgument.
+
+    A large order is refused before the trial division, which a large prime
+    keeps busy for ever, and before p ** l, which a large l makes too long
+    to print. As p >= 2, any l > 16 already gives an order above 2^16."""
+    if p > 1 and (p > CONTEXT_LIMIT or l > 16 or p ** l > CONTEXT_LIMIT):
+        order = p if l == 1 else f"{p}^{l}"
+        raise InvalidArgument(f"field order {order} exceeds {CONTEXT_LIMIT}")
+    if not is_prime(p):
+        raise InvalidArgument(f"{p} is not prime{_prime_power_hint(p, l)}")
+    return _extension_field(p, l)
 
 
 def parse_field(literal):
@@ -435,12 +419,4 @@ def parse_field(literal):
         raise InvalidArgument(f"field literal {s!r} is not p or p^l") from None
     if l < 1:
         raise InvalidArgument(f"field literal {s!r} needs an exponent l >= 1")
-    # Refuse a large order before the trial division, which a large prime
-    # keeps busy for ever, and before p ** l, which a large l makes too long
-    # to print. As p >= 2, any l > 16 already gives an order above 2^16.
-    if p > 1 and (p > CONTEXT_LIMIT or l > 16 or p ** l > CONTEXT_LIMIT):
-        order = p if l == 1 else f"{p}^{l}"
-        raise InvalidArgument(f"field order {order} exceeds {CONTEXT_LIMIT}")
-    if not is_prime(p):
-        raise InvalidArgument(f"{p} is not prime{_prime_power_hint(p, l)}")
-    return _extension_field(p, l)
+    return _checked_field(p, l)

@@ -6,7 +6,7 @@ schoolbook and exact -- lengths here stay in the hundreds.
 """
 
 from .errors import InvalidArgument
-from .field import is_prime
+from .field import factorize
 
 
 class Poly:
@@ -176,22 +176,15 @@ class Poly:
 
     # -- evaluation ----------------------------------------------------------
 
-    def eval(self, a, ext=None):
-        """Horner evaluation at a field element.
+    def eval(self, a):
+        """Horner evaluation at an element a of this polynomial's field.
 
-        With ext (an Extension whose base is this polynomial's field), a is
-        an element of the big field and coefficients are embedded first.
+        To evaluate at an element of an extension, embed the coefficients
+        first, as Poly(ext.field, [ext.embed(c) for c in f.coeffs]).
         """
-        if ext is None:
-            ctx = self.ctx
-            coeffs = self.coeffs
-        else:
-            if ext.base != self.ctx:
-                raise InvalidArgument("extension does not embed this field")
-            ctx = ext.field
-            coeffs = [ext.embed(c) for c in self.coeffs]
+        ctx = self.ctx
         acc = 0
-        for c in reversed(coeffs):
+        for c in reversed(self.coeffs):
             acc = ctx.add(ctx.mul(acc, a), c)
         return acc
 
@@ -216,8 +209,7 @@ def is_irreducible(f):
     # x^(q^m) == x (mod f)
     if x.pow_mod(q ** m, f) != x % f:
         return False
-    primes = {r for r in range(2, m + 1) if m % r == 0 and is_prime(r)}
-    for r in primes:
+    for r, _ in factorize(m):
         h = x.pow_mod(q ** (m // r), f) - (x % f)
         if h.gcd(f).degree != 0:
             return False

@@ -34,7 +34,14 @@ from cyclocode.codes import (
 )
 from cyclocode.cyclotomic import cosets, minimal_poly, multiplicative_order_mod, profile
 from cyclocode.errors import BudgetExceeded, CycloError, InvalidArgument
-from cyclocode.field import is_prime, make_prime_field, nth_root_of_unity, parse_field
+from cyclocode.field import (
+    Extension,
+    is_prime,
+    make_extension,
+    make_prime_field,
+    nth_root_of_unity,
+    parse_field,
+)
 from cyclocode.poly import Poly, reciprocal
 
 F2 = make_prime_field(2)
@@ -624,6 +631,37 @@ def test_zeros_and_nonzeros():
         for coset in cosets(c.n, c.ctx.q):
             inter = zset & set(coset.members)
             assert inter == set() or inter == set(coset.members)
+
+
+@pytest.mark.parametrize("literal,n", [("2", 21), ("2^2", 15)])
+def test_zeros_and_nonzeros_embeds_g_once(literal, n):
+    c = build_Cn(n, parse_field(literal))
+    embed = Extension.embed
+    with mock.patch.object(Extension, "embed", autospec=True, side_effect=embed) as spy:
+        zeros_and_nonzeros(c)
+    assert 0 < spy.call_count <= c.g.degree + 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(_any_divisor_codes(["2", "3", "2^2", "3^2"]))
+def test_zeros_and_nonzeros_match_naive_evaluation(c):
+    """T = {i : g(zeta^i) = 0}, by Horner's rule on the naive field operations."""
+    ext = make_extension(c.ctx, multiplicative_order_mod(c.ctx.q, c.n))
+    big = ext.field
+    zeta = nth_root_of_unity(big, c.n)
+    g = [ext.embed(a) for a in c.g.coeffs]
+    zeros, x = [], 1
+    for i in range(c.n):
+        acc = 0
+        for a in reversed(g):
+            acc = naive_field_add(big, naive_field_mul(big, acc, x), a)
+        if acc == 0:
+            zeros.append(i)
+        x = naive_field_mul(big, x, zeta)
+    assert x == 1  # zeta^n
+    assert len(zeros) == c.g.degree  # x^n - 1 has n distinct roots
+    expected = (tuple(zeros), tuple(i for i in range(c.n) if i not in zeros))
+    assert zeros_and_nonzeros(c) == expected
 
 
 def test_distance_theorems_small_sweep():

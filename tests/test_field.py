@@ -9,6 +9,7 @@ from cyclocode.errors import InvalidArgument
 from cyclocode.field import (
     TABLE_LIMIT,
     FieldCtx,
+    is_prime,
     make_extension,
     make_prime_field,
     nth_root_of_unity,
@@ -180,6 +181,28 @@ def test_make_prime_field_refuses_large_p_before_the_primality_test(p):
         with pytest.raises(InvalidArgument) as exc:
             make_prime_field(p)
     assert str(exc.value) == f"field order {p} exceeds 65536"
+
+
+def test_is_prime_agrees_with_a_sieve():
+    limit = 5000
+    sieve = [False, False] + [True] * (limit - 2)
+    for i in range(2, 71):  # 71^2 > limit
+        if sieve[i]:
+            for j in range(i * i, limit, i):
+                sieve[j] = False
+    assert [n for n in range(limit) if is_prime(n)] == [n for n in range(limit) if sieve[n]]
+    assert not any(is_prime(n) for n in (0, 1, -7))
+
+
+@pytest.mark.parametrize("p,message", [
+    (4, "4 is not prime; write F_4 as 2^2"),
+    (27, "27 is not prime; write F_27 as 3^3"),
+])
+def test_make_prime_field_gives_the_field_literal_hint(p, message):
+    for make in (make_prime_field, parse_field):
+        with pytest.raises(InvalidArgument) as exc:
+            make(p)
+        assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("literal,message", [

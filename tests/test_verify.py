@@ -229,6 +229,22 @@ def test_cli_verify_tensor(capsys):
     assert json.loads(capsys.readouterr().out)["status"] == "pass"
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "tensor", "--n1", "3", "--n2", "5", "--field", "2",
+     "--format", "csv", "--output", "{out}", "--config", "{missing}"],
+    ["verify", "sweep", "--n1", "3", "--field", "7"],
+])
+def test_cli_verify_actions_refuse_flags_they_do_not_use(argv, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    argv = [a.format(out=out, missing=tmp_path / "missing.json") for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments" in captured.err
+    assert not out.exists()
+
+
 def test_cli_sweep_with_config(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
