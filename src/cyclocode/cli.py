@@ -5,10 +5,12 @@ Verbs:
   code {build,dual,mindist,weights,zeros} code construction and diagnostics
   verify sweep [--config FILE]            batch theorem verification
   verify tensor --n1 A --n2 B --field Q   single CRT-equivalence check
-  conjecture run [--config FILE]          the sweep restricted to CONJECTURE-CN1-DUAL
+  conjecture run [--config FILE | --n-max N]
+                                          the sweep restricted to CONJECTURE-CN1-DUAL
 
 `verify sweep` and `conjecture run` share the report flags --output, --format
 and --deterministic. `verify tensor` prints one JSON record and refuses them.
+`code` takes --kind or --gen, not both.
 
 Exit codes: 0 = no failing record, 1 = at least one fail, 2 = config error
 or a refused command line.
@@ -23,7 +25,7 @@ from .cyclotomic import cyclotomic_poly, profile
 from .errors import ConfigInvalid, CycloError, InvalidArgument
 from .field import parse_field
 from .poly import Poly
-from .report import emit_report, zero_elapsed
+from .report import FORMATS, emit_report, zero_elapsed
 from .tensor import verify_tensor_dual
 from .verify import SweepConfig, sweep
 
@@ -37,11 +39,11 @@ def _build_code(args, ctx):
         if not isinstance(coeffs, list) or {type(c) for c in coeffs} - {int}:
             raise InvalidArgument(f"--gen must be a JSON list of integers: {args.gen}")
         return codes.from_generator(Poly(ctx, coeffs), args.n, label="custom")
-    if args.kind == "cn":
-        return codes.build_Cn(args.n, ctx)
     if args.kind == "cn1":
         return codes.build_Cn1(args.n, ctx)
-    return codes.build_repetition(args.n, ctx)
+    if args.kind == "rn":
+        return codes.build_repetition(args.n, ctx)
+    return codes.build_Cn(args.n, ctx)  # --kind cn, the default
 
 
 def _cmd_cyclo(args):
@@ -63,10 +65,7 @@ def _cmd_cyclo(args):
 
 def _cmd_code(args):
     if args.action in ("mindist", "weights"):
-        if args.budget < 1:
-            raise InvalidArgument(f"--budget must be >= 1, got {args.budget}")
-        if args.budget > codes.MAX_BUDGET:
-            raise InvalidArgument(f"--budget must be <= 2^63 - 1, got {args.budget}")
+        codes.check_budget(args.budget, name="--budget")
     ctx = parse_field(args.field)
     code = _build_code(args, ctx)
     if args.action == "build":
@@ -110,7 +109,7 @@ def _cmd_conjecture(args):
     if args.config:
         cfg = SweepConfig.from_file(args.config)
     else:
-        cfg = SweepConfig(n_range=(2, args.n_max))
+        cfg = SweepConfig(n_range=(2, 24 if args.n_max is None else args.n_max))
     cfg.theorems = ["CONJECTURE-CN1-DUAL"]  # a config file's theorems do not apply
     return _finish(sweep(cfg), args, cfg)
 
@@ -130,15 +129,17 @@ def build_parser():
     )
     p_code.add_argument("--n", type=int, required=True)
     p_code.add_argument("--field", required=True)
-    p_code.add_argument("--kind", choices=["cn", "cn1", "rn"], default="cn")
-    p_code.add_argument("--gen", help="JSON coefficient list for a custom generator")
+    # exclusive pairs default to None: argparse lets a flag equal to its default through
+    kind = p_code.add_mutually_exclusive_group()
+    kind.add_argument("--kind", choices=["cn", "cn1", "rn"], help="default cn")
+    kind.add_argument("--gen", help="JSON coefficient list for a custom generator")
     p_code.add_argument("--budget", type=int, default=codes.DEFAULT_BUDGET)
     p_code.set_defaults(func=_cmd_code)
 
     # the report flags of the two commands that write a sweep report
     report = argparse.ArgumentParser(add_help=False)
     report.add_argument("--output")
-    report.add_argument("--format", choices=["csv", "json"])
+    report.add_argument("--format", choices=FORMATS)
     report.add_argument(
         "--deterministic",
         action="store_true",
@@ -162,8 +163,9 @@ def build_parser():
         "conjecture", parents=[report], help="empirical conjecture checker"
     )
     p_conj.add_argument("action", choices=["run"])
-    p_conj.add_argument("--config")
-    p_conj.add_argument("--n-max", type=int, default=24)
+    grid = p_conj.add_mutually_exclusive_group()
+    grid.add_argument("--config")
+    grid.add_argument("--n-max", type=int, help="default 24")
     p_conj.set_defaults(func=_cmd_conjecture)
 
     return parser

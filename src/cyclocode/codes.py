@@ -13,7 +13,8 @@ RREF [I_k | P], read off g by systematic encoding, so it is never
 row-reduced.  Minimum distances and weight distributions come from one
 meet-in-the-middle enumeration over the prime subfield, the same for every
 field: a table of all combinations of the first rows, walked by an odometer
-over the remaining rows.
+over the remaining rows, within a budget that check_budget validates.  A
+GenMatrix refuses any entry that is not an element of its field.
 """
 
 import time
@@ -47,6 +48,9 @@ class GenMatrix:
             raise InvalidArgument("rows must form a 2-D array")
         if n is not None and arr.shape[1] != n:
             raise InvalidArgument(f"rows have {arr.shape[1]} columns, n = {n}")
+        # one reduction: a negative entry read as uint64 is at least 2^63
+        if arr.size and arr.view(np.uint64).max() >= ctx.q:
+            raise InvalidArgument(f"matrix entries are not all in {ctx!r}")
         self.ctx = ctx
         self.rows = arr
         self.canonical = canonical
@@ -236,24 +240,25 @@ def _as_matrix(obj):
     return obj
 
 
-def same_code(a, b):
-    """Row-space equality via identical reduced row-echelon forms."""
+def _matrices(a, b):
+    """Generator matrices of two codes over one field and of one length."""
     ma, mb = _as_matrix(a), _as_matrix(b)
     if ma.ctx != mb.ctx:
         raise InvalidArgument("codes over different fields")
     if ma.n != mb.n:
         raise InvalidArgument(f"lengths {ma.n} and {mb.n} differ")
-    ra, rb = ma.rref(), mb.rref()
-    return np.array_equal(ra.rows, rb.rows)
+    return ma, mb
+
+
+def same_code(a, b):
+    """Row-space equality via identical reduced row-echelon forms."""
+    ma, mb = _matrices(a, b)
+    return np.array_equal(ma.rref().rows, mb.rref().rows)
 
 
 def sum_codes(a, b):
     """RREF basis of the sum of two codes of equal length."""
-    ma, mb = _as_matrix(a), _as_matrix(b)
-    if ma.ctx != mb.ctx:
-        raise InvalidArgument("codes over different fields")
-    if ma.n != mb.n:
-        raise InvalidArgument(f"lengths {ma.n} and {mb.n} differ")
+    ma, mb = _matrices(a, b)
     stacked = np.vstack([ma.rows, mb.rows])
     return GenMatrix(ma.ctx, stacked, n=ma.n).rref()
 
@@ -317,10 +322,23 @@ def _weights(m, include_zero):
             return
 
 
+def check_budget(budget, name="budget"):
+    """Raise InvalidArgument unless budget is an int (not a bool) in
+    [1, MAX_BUDGET]; the messages call it name."""
+    if not isinstance(budget, int) or isinstance(budget, bool):
+        raise InvalidArgument(f"{name} must be an integer, got {budget!r}")
+    if budget < 1:
+        raise InvalidArgument(f"{name} must be >= 1, got {budget}")
+    if budget > MAX_BUDGET:
+        raise InvalidArgument(f"{name} must be <= 2^63 - 1, got {budget}")
+
+
 def _basis_within_budget(c, budget):
     """RREF basis of c and its q^k - 1 nonzero codewords, or BudgetExceeded
     when they exceed budget; a CyclicCode's k is known, so a refused one
-    builds no matrix, and an accepted one reads its RREF off g."""
+    builds no matrix, and an accepted one reads its RREF off g.  A budget
+    that check_budget refuses builds no matrix either."""
+    check_budget(budget)
     m = None if isinstance(c, CyclicCode) else c.rref()
     k = c.k if m is None else m.num_rows
     count = c.ctx.q ** k - 1

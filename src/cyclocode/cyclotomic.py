@@ -3,7 +3,8 @@
 Cyclotomic polynomials are computed once over the integers (coefficients are
 exact Python ints) by recursive division of x^n - 1 by its cofactor, the
 product of the Q_d for proper divisors d, then reduced mod p for a concrete
-field.  The cofactor is kept too: it is the check polynomial of <Q_n>.
+field.  The cofactor is kept too: it is the check polynomial of <Q_n>.  Its
+products are field._int_mul, the schoolbook product Poly also uses over F_p.
 """
 
 import math
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import CycloError, InvalidArgument
-from .field import factorize, make_extension, nth_root_of_unity
+from .field import _int_mul, factorize, make_extension, nth_root_of_unity
 from .poly import Poly
 
 
@@ -57,15 +58,6 @@ def profile(n):
 
 # -- integer cyclotomic polynomials ------------------------------------------
 
-def _int_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
 def _int_divexact(a, b):
     """Exact division of integer polynomials (remainder must vanish)."""
     a = list(a)
@@ -89,9 +81,8 @@ def cofactor_int(n):
     """(x^n - 1) / Q_n over the integers, ascending: the product of Q_d over
     the divisors d < n of n, and the check polynomial of C_n = <Q_n>."""
     out = (1,)
-    for d in range(1, n):
-        if n % d == 0:
-            out = _int_mul(out, cyclotomic_int(d))
+    for d in profile(n).divisors[:-1]:
+        out = _int_mul(out, cyclotomic_int(d))
     return tuple(out)
 
 
@@ -141,9 +132,8 @@ def cyclotomic_cofactor(n, ctx, without_q1=False):
 def verify_factorization(n, ctx):
     """Check x^n - 1 = prod over d | n of Q_d, exactly over the field."""
     prod = Poly.one(ctx)
-    for d in range(1, n + 1):
-        if n % d == 0:
-            prod = prod * cyclotomic_poly(d, ctx)
+    for d in profile(n).divisors:
+        prod = prod * cyclotomic_poly(d, ctx)
     return prod == Poly.x_n_minus_1(ctx, n)
 
 

@@ -47,6 +47,26 @@ def factorize(n):
     return out
 
 
+def _int_mul(a, b):
+    """Schoolbook product of ascending integer coefficient lists, unreduced:
+    exact over the integers, and reduced mod p by a caller over F_p."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _digits(v, p, l):
+    """The l base-p digits of v, ascending."""
+    digits = []
+    for _ in range(l):
+        v, r = divmod(v, p)
+        digits.append(r)
+    return digits
+
+
 class FieldCtx:
     """A concrete finite field F_{p^l}; immutable after construction."""
 
@@ -85,11 +105,7 @@ class FieldCtx:
 
     def decode(self, a):
         """Base-p digits of the encoding, ascending, length l."""
-        digits = []
-        for _ in range(self.l):
-            a, r = divmod(a, self.p)
-            digits.append(r)
-        return digits
+        return _digits(a, self.p, self.l)
 
     def encode(self, digits):
         v = 0
@@ -153,13 +169,7 @@ class FieldCtx:
         p = self.p
         if self.l == 1:
             return (a * b) % p
-        da = self.decode(a)
-        db = self.decode(b)
-        prod = [0] * (2 * self.l - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % p
+        prod = _int_mul(self.decode(a), self.decode(b))
         # reduce modulo the defining polynomial
         mod = self.modulus
         for i in range(len(prod) - 1, self.l - 1, -1):
@@ -176,11 +186,7 @@ class FieldCtx:
         return self._add_raw(a, b)
 
     def neg(self, a):
-        if self.l == 1:
-            return (-a) % self.p
-        if self.p == 2:
-            return a
-        return self.encode([-d for d in self.decode(a)])
+        return self.mul(self.p - 1, a)
 
     def mul(self, a, b):
         if self._mul_table is not None:
@@ -273,7 +279,7 @@ class Extension:
     def __init__(self, base, field, root):
         self.base = base
         self.field = field
-        self._root = root  # image of the base field's generator u; None if base is prime
+        self._root = root  # image of u; None if embed is the identity (prime base, m = 1)
         self._table = None
         self._inverse = None
 
@@ -313,21 +319,15 @@ def make_prime_field(p):
     return _checked_field(p, 1)
 
 
-@lru_cache(maxsize=None)
 def _canonical_modulus(p, d):
     """First monic irreducible of degree d over F_p in canonical order."""
     from .poly import Poly, is_irreducible
 
     ctx = make_prime_field(p)
     for low in range(p ** d):
-        digits = []
-        v = low
-        for _ in range(d):
-            v, r = divmod(v, p)
-            digits.append(r)
-        f = Poly(ctx, digits + [1])
+        f = Poly(ctx, _digits(low, p, d) + [1])
         if is_irreducible(f):
-            return tuple(digits + [1])
+            return f.coeffs
     raise CycloError("no irreducible polynomial found")  # unreachable
 
 
@@ -356,21 +356,20 @@ def make_extension(base, m):
 @lru_cache(maxsize=None)
 def _extension(base, m):
     if m == 1:
-        return Extension(base, base, base.p if base.l > 1 else None)
+        return Extension(base, base, None)
     big = _extension_field(base.p, base.l * m)
-    if base.l == 1:
-        return Extension(base, big, None)
-    return Extension(base, big, _subfield_root(base, big))
+    return Extension(base, big, None if base.l == 1 else _subfield_root(base, big))
 
 
 def _subfield_root(base, big):
     """Canonically-least root of base's modulus among the F_q elements of big."""
     from .poly import Poly
 
-    gamma = big.primitive_element()
-    step = (big.q - 1) // (base.q - 1)
+    zeta = nth_root_of_unity(big, base.q - 1)  # F_q* is the group it generates
     f = Poly(big, base.modulus)  # prime-subfield coefficients encode as themselves
-    candidates = [0] + [big.pow(gamma, step * k) for k in range(base.q - 1)]
+    candidates = [0, 1]
+    for _ in range(base.q - 2):
+        candidates.append(big.mul(candidates[-1], zeta))
     roots = [x for x in candidates if f.eval(x) == 0]
     if not roots:
         raise CycloError("base modulus has no root in the extension")

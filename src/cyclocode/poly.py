@@ -6,7 +6,7 @@ schoolbook and exact -- lengths here stay in the hundreds.
 """
 
 from .errors import InvalidArgument
-from .field import factorize
+from .field import _int_mul, factorize
 
 
 class Poly:
@@ -103,22 +103,14 @@ class Poly:
         self._check(other)
         ctx = self.ctx
         a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly.zero(ctx)
         if ctx.l == 1:
-            p = ctx.p
-            out = [0] * (len(a) + len(b) - 1)
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b):
-                        out[i + j] = (out[i + j] + x * y) % p
-        else:
-            out = [0] * (len(a) + len(b) - 1)
-            add, mul = ctx.add, ctx.mul
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b):
-                        out[i + j] = add(out[i + j], mul(x, y))
+            return Poly(ctx, _int_mul(a, b))  # __init__ reduces mod p
+        out = [0] * (len(a) + len(b) - 1)
+        add, mul = ctx.add, ctx.mul
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] = add(out[i + j], mul(x, y))
         return Poly(ctx, out)
 
     def scale(self, c):

@@ -7,6 +7,8 @@ from dataclasses import dataclass, replace
 
 from .errors import CycloError
 
+FORMATS = ("csv", "json")
+
 CSV_COLUMNS = [
     "theorem_id",
     "q",
@@ -62,24 +64,11 @@ class VerificationRecord:
         }
 
     def to_csv_row(self):
-        def s(v):
-            return "" if v is None else v
-
-        return [
-            self.theorem_id,
-            self.q,
-            s(self.n),
-            s(self.n1),
-            s(self.n2),
-            s(self.claimed[0]),
-            s(self.claimed[1]),
-            s(self.claimed[2]),
-            s(self.measured[0]),
-            s(self.measured[1]),
-            s(self.measured[2]),
-            self.status,
-            f"{self.elapsed:.3f}",
-        ]
+        """to_dict's values up to status, triples spread and None as "",
+        then the elapsed time to three places."""
+        values = list(self.to_dict().values())[:-2]  # all but elapsed_s and note
+        flat = [x for v in values for x in (v if isinstance(v, list) else [v])]
+        return ["" if v is None else v for v in flat] + [f"{self.elapsed:.3f}"]
 
 
 def zero_elapsed(records):
@@ -93,7 +82,7 @@ def emit_report(records, fmt, path):
     Elapsed times are the only run-dependent field: pass the records through
     zero_elapsed first for identical files from identical configs.
     """
-    if fmt not in ("csv", "json"):
+    if fmt not in FORMATS:
         raise CycloError(f"unknown report format {fmt!r}")
     try:
         with nullcontext(path) if hasattr(path, "write") else open(path, "w", newline="") as fh:

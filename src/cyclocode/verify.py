@@ -15,9 +15,9 @@ from functools import lru_cache
 
 from . import codes, tensor
 from .cyclotomic import profile, verify_factorization
-from .errors import BudgetExceeded, ConfigInvalid, CycloError
+from .errors import BudgetExceeded, ConfigInvalid, CycloError, InvalidArgument
 from .field import is_prime, parse_field
-from .report import THEOREM_IDS, VerificationRecord
+from .report import FORMATS, THEOREM_IDS, VerificationRecord
 
 DEFAULT_FIELDS = ["2", "3", "2^2", "5", "7", "2^3", "3^2"]
 DEFAULT_THEOREMS = [t for t in THEOREM_IDS if t != "CONJECTURE-CN1-DUAL"]
@@ -62,14 +62,14 @@ class SweepConfig:
             value = getattr(self, key)
             if not ok(value):
                 raise ConfigInvalid(f"{key} must be {kind}, got {value!r}")
-        if self.budget < 1:
-            raise ConfigInvalid("budget must be >= 1")
-        if self.budget > codes.MAX_BUDGET:
-            raise ConfigInvalid(f"budget must be <= 2^63 - 1, got {self.budget}")
+        try:
+            codes.check_budget(self.budget)
+        except InvalidArgument as exc:
+            raise ConfigInvalid(str(exc)) from exc
         lo, hi = self.n_range
         if lo < 2 or hi < lo:
             raise ConfigInvalid("n_range lower bound must be >= 2 and <= upper")
-        if self.format not in ("csv", "json"):
+        if self.format not in FORMATS:
             raise ConfigInvalid(f"unknown format {self.format!r}")
         unknown = [t for t in self.theorems if t not in THEOREM_IDS]
         if unknown:

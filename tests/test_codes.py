@@ -1,4 +1,5 @@
 import random
+import re
 from unittest import mock
 
 import numpy as np
@@ -16,14 +17,17 @@ from helpers import (
     naive_weight_distribution,
 )
 
-from cyclocode import codes
+from cyclocode import codes, field
 from cyclocode.codes import (
     _LOW_TABLE,
     _prime_field_expansion,
+    MAX_BUDGET,
+    CyclicCode,
     GenMatrix,
     build_Cn,
     build_Cn1,
     build_repetition,
+    check_budget,
     dual,
     from_generator,
     min_distance,
@@ -36,6 +40,7 @@ from cyclocode.cyclotomic import cosets, minimal_poly, multiplicative_order_mod,
 from cyclocode.errors import BudgetExceeded, CycloError, InvalidArgument
 from cyclocode.field import (
     Extension,
+    FieldCtx,
     is_prime,
     make_extension,
     make_prime_field,
@@ -220,6 +225,19 @@ def test_genmatrix_n_must_match_the_columns():
     assert GenMatrix(F2, [], n=4).rows.shape == (0, 4)
 
 
+@pytest.mark.parametrize("literal,row", [
+    ("2^2", [-1, 1, 0]),  # once a no-op for rref, and d = 2 for min_distance
+    ("2", [2, 1, 0]),  # once an IndexError from the add/mul tables
+    ("3", [0, 1, 3]),
+    ("2^10", [1024, 0, 1]),
+])
+def test_genmatrix_refuses_entries_outside_the_field(literal, row):
+    ctx = parse_field(literal)
+    with pytest.raises(InvalidArgument, match=f"not all in {re.escape(repr(ctx))}$"):
+        GenMatrix(ctx, [[0, 1, 1], row])
+    assert GenMatrix(ctx, [[0, ctx.q - 1, 1]]).rows.tolist() == [[0, ctx.q - 1, 1]]
+
+
 def test_genmatrix_equality_is_row_space_equality():
     assert same_code(GenMatrix(F2, [[1, 1], [0, 1]]), GenMatrix(F2, [[1, 0], [0, 1]]))
     assert same_code(GenMatrix(F3, [[2, 2, 0], [1, 1, 0]]), GenMatrix(F3, [[1, 1, 0]]))
@@ -262,6 +280,31 @@ def test_min_distance_budget():
     with pytest.raises(BudgetExceeded) as exc:
         min_distance(build_Cn(15, F2), budget=100)
     assert exc.value.required == 127
+
+
+def test_check_budget_messages():
+    check_budget(1)
+    check_budget(MAX_BUDGET)
+    with pytest.raises(InvalidArgument, match=r"^--budget must be >= 1, got -5$"):
+        check_budget(-5, name="--budget")
+    with pytest.raises(InvalidArgument, match=r"^budget must be an integer, got True$"):
+        check_budget(True)
+    with pytest.raises(InvalidArgument, match=r"^budget must be an integer, got 'x'$"):
+        check_budget("x")
+    with pytest.raises(InvalidArgument, match=r"^budget must be <= 2\^63 - 1, got 9223372036854775808$"):
+        check_budget(MAX_BUDGET + 1)
+
+
+@pytest.mark.parametrize("walk", [min_distance, weight_distribution])
+@pytest.mark.parametrize("budget", [0, -5, True, 1.5, "x", 2 ** 63])
+def test_walks_refuse_bad_budgets_before_building_a_matrix(walk, budget, monkeypatch):
+    built = []
+    monkeypatch.setattr(CyclicCode, "generator_matrix", built.append)
+    monkeypatch.setattr(GenMatrix, "rref", built.append)
+    for c in (build_Cn(15, F2), GenMatrix(F2, [[1, 1, 0], [0, 1, 1]])):
+        with pytest.raises(InvalidArgument, match="^budget must be"):
+            walk(c, budget=budget)
+    assert built == []
 
 
 def test_refused_cyclic_code_is_not_row_reduced(monkeypatch):
@@ -640,6 +683,17 @@ def test_zeros_and_nonzeros_embeds_g_once(literal, n):
     with mock.patch.object(Extension, "embed", autospec=True, side_effect=embed) as spy:
         zeros_and_nonzeros(c)
     assert 0 < spy.call_count <= c.g.degree + 1
+
+
+def test_zeros_in_the_field_itself_build_no_embedding_table(monkeypatch):
+    c = build_Cn(3, parse_field("2^10"))  # 1024 = 1 mod 3: the splitting field is F_1024
+    field._extension.cache_clear()  # so make_extension(F_1024, 1) is built here
+    calls = []
+    mul = FieldCtx.mul
+    monkeypatch.setattr(FieldCtx, "mul", lambda ctx, a, b: calls.append(1) or mul(ctx, a, b))
+    assert zeros_and_nonzeros(c) == ((1, 2), (0,))
+    # a power-sum embedding table of the 1024 elements took 10,363 products
+    assert len(calls) < 500
 
 
 @settings(max_examples=100, deadline=None)

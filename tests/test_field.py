@@ -93,6 +93,15 @@ def test_make_extension_basic():
     assert same.field is f2
 
 
+@pytest.mark.parametrize("literal", ["2", "2^3", "3^2", "2^10"])
+def test_degree_1_extension_is_the_identity(literal):
+    base = parse_field(literal)
+    ext = make_extension(base, 1)
+    assert ext.field is base
+    assert [ext.embed(a) for a in range(base.q)] == list(range(base.q))
+    assert ext.retract(base.q - 1) == base.q - 1
+
+
 def test_make_extension_cap():
     with pytest.raises(InvalidArgument, match=r"2\^25 exceeds the support cap 16777216"):
         make_extension(make_prime_field(2), 25)
@@ -249,6 +258,18 @@ def test_tables_match_schoolbook_oracle(literal):
     for a, b in pairs:
         assert ctx.add(a, b) == naive_field_add(ctx, a, b)
         assert ctx.mul(a, b) == naive_field_mul(ctx, a, b)
+
+
+@pytest.mark.parametrize("literal", ["2^10", "3^7"])
+def test_digit_product_matches_schoolbook_oracle(literal):
+    ctx = parse_field(literal)
+    assert ctx.q > TABLE_LIMIT  # no tables: mul is the digit product _mul_raw
+    top = ctx.q - 1
+    rng = random.Random(ctx.q)
+    pairs = [(0, top), (1, top), (top, top), (ctx.p, ctx.q // ctx.p)]
+    pairs += [(rng.randrange(ctx.q), rng.randrange(ctx.q)) for _ in range(3000)]
+    for a, b in pairs:
+        assert ctx._mul_raw(a, b) == naive_field_mul(ctx, a, b)
 
 
 def _order_by_repeated_mul(ctx, a):

@@ -7,6 +7,7 @@ from cyclocode.errors import CycloError, InvalidArgument
 from cyclocode.field import make_extension, make_prime_field, parse_field
 from cyclocode.cyclotomic import cyclotomic_poly
 from cyclocode.poly import Poly, is_irreducible, reciprocal
+from helpers import naive_poly_mul
 
 F2 = make_prime_field(2)
 F3 = make_prime_field(3)
@@ -61,6 +62,25 @@ def test_divmod_property(case):
     q, r = divmod(a, b)
     assert q * b + r == a
     assert r.is_zero or r.degree < b.degree
+
+
+@st.composite
+def _prime_field_factors(draw):
+    ctx = make_prime_field(draw(st.sampled_from([2, 3, 5, 7])))
+
+    def factor():
+        k = draw(st.integers(0, 200))
+        return draw(st.lists(st.integers(0, ctx.p - 1), min_size=k, max_size=k))
+
+    return ctx, factor(), factor()
+
+
+# Over F_p a product is one integer schoolbook product, reduced mod p once.
+@settings(max_examples=30, deadline=None)
+@given(_prime_field_factors())
+def test_prime_field_product_matches_naive_oracle(case):
+    ctx, a, b = case
+    assert list((Poly(ctx, a) * Poly(ctx, b)).coeffs) == naive_poly_mul(ctx, a, b)
 
 
 def test_context_mismatch():

@@ -223,6 +223,30 @@ def test_cli_code_verbs(capsys):
     assert json.loads(capsys.readouterr().out)["k"] == 3
 
 
+def _flat_dict_row(rec):
+    d = rec.to_dict()
+    cells = [d["theorem_id"], d["q"], d["n"], d["n1"], d["n2"], *d["claimed"], *d["measured"]]
+    return ["" if v is None else v for v in cells] + [d["status"], f"{rec.elapsed:.3f}"]
+
+
+def test_csv_row_is_the_flattened_dict():
+    f2 = make_prime_field(2)
+    na = VerificationRecord("CN-DIST", 2, 4, status="n/a", note="gcd(n, q) != 1")
+    (tensor,) = sweep(SweepConfig(fields=["2"], n_range=(15, 15), theorems=["TENSOR-EQUIV"]))
+    claimed, measured, status, note = _distance_row(build_Cn(15, f2), (15, 7, 3), 10)
+    skipped = VerificationRecord(
+        "CN-DIST", 2, 15, claimed=claimed, measured=measured, status=status,
+        elapsed=0.0125, note=note,
+    )
+    assert (tensor.n1, tensor.n2, tensor.measured) == (3, 5, (15, 8, 4))
+    assert skipped.status == "skipped"
+    for rec in (na, tensor, skipped):
+        row = rec.to_csv_row()
+        assert row == _flat_dict_row(rec)
+        assert len(row) == len(CSV_COLUMNS)
+    assert skipped.to_csv_row() == ["CN-DIST", 2, 15, "", "", 15, 7, 3, 15, 7, "", "skipped", "0.013"]
+
+
 def test_cli_verify_tensor(capsys):
     rc = cli_main(["verify", "tensor", "--n1", "3", "--n2", "5", "--field", "2"])
     assert rc == 0
@@ -243,6 +267,32 @@ def test_cli_verify_actions_refuse_flags_they_do_not_use(argv, tmp_path, capsys)
     captured = capsys.readouterr()
     assert captured.out == "" and "unrecognized arguments" in captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["conjecture", "run", "--config", "{cfg}", "--n-max", "12"],
+    ["conjecture", "run", "--n-max", "24", "--config", "{cfg}"],  # 24 is the default
+    ["code", "build", "--n", "15", "--field", "2", "--kind", "cn1", "--gen", "[1, 1]"],
+    ["code", "build", "--n", "15", "--field", "2", "--gen", "[1, 1]", "--kind", "cn"],
+])
+def test_cli_refuses_flags_that_exclude_each_other(argv, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"fields": ["2"], "n_range": [2, 6]}))
+    with pytest.raises(SystemExit) as exc:
+        cli_main([a.format(cfg=cfg) for a in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not allowed with argument" in captured.err
+
+
+def test_cli_one_flag_of_each_pair_keeps_its_meaning(capsys):
+    for extra, n_max in (([], 24), (["--n-max", "12"], 12)):
+        assert cli_main(["conjecture", "run"] + extra) == 0
+        assert {r["n"] for r in json.loads(capsys.readouterr().out)} == set(range(2, n_max + 1))
+    build = ["code", "build", "--n", "15", "--field", "2"]
+    for extra, label in (([], "C_n"), (["--kind", "cn1"], "C_{n,1}"), (["--gen", "[1, 1]"], "custom")):
+        assert cli_main(build + extra) == 0
+        assert json.loads(capsys.readouterr().out)["label"] == label
 
 
 def test_cli_sweep_with_config(tmp_path, capsys):
@@ -268,6 +318,19 @@ def test_cli_config_budget_above_int64_exit_2(budget, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"config error: budget must be <= 2^63 - 1, got {budget}\n"
+
+
+@pytest.mark.parametrize("budget,message", [
+    (0, "budget must be >= 1, got 0"),
+    (-5, "budget must be >= 1, got -5"),
+    (True, "budget must be an integer, got True"),
+    (1.5, "budget must be an integer, got 1.5"),
+])
+def test_cli_config_budget_messages(budget, message, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"fields": ["2"], "n_range": [2, 4], "budget": budget}))
+    assert cli_main(["verify", "sweep", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_cli_bad_config_exit_2(tmp_path, capsys):
