@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclotomic import cyclotomic_cofactor, cyclotomic_poly, multiplicative_order_mod
+from .cyclotomic import cosets, cyclotomic_cofactor, cyclotomic_poly, multiplicative_order_mod
 from .errors import BudgetExceeded, CycloError, InvalidArgument
 from .field import is_prime, make_extension, nth_root_of_unity
 from .poly import Poly, reciprocal
@@ -41,7 +41,14 @@ class GenMatrix:
     """Rows spanning a linear code; rows are encodings over a FieldCtx."""
 
     def __init__(self, ctx, rows, n=None, canonical=False):
-        arr = np.array(rows, dtype=np.int64)
+        try:
+            arr = np.array(rows)
+        except ValueError:  # ragged rows
+            raise InvalidArgument("rows must form a 2-D array") from None
+        # an empty list infers float64; bool, float or object holds a non-element
+        if arr.size and arr.dtype.kind not in "iu":
+            raise InvalidArgument(f"matrix entries are not all in {ctx!r}: got {arr.dtype} entries")
+        arr = arr.astype(np.int64, copy=False)
         if arr.size == 0 and arr.ndim != 2:
             arr = arr.reshape(0, n if n is not None else 0)
         if arr.ndim != 2:
@@ -392,21 +399,16 @@ def weight_distribution(c, budget=DEFAULT_BUDGET):
 def zeros_and_nonzeros(c):
     """Defining set T = {i : g(zeta^i) = 0} and its complement in Z_n.
 
-    g is embedded into the splitting field F_{q^t} once, and x = zeta^i
-    steps by one multiplication per i.
+    g is embedded into the splitting field F_{q^t} once and evaluated at one
+    zeta^r per q-cyclotomic coset: g(zeta^(rq)) = g(zeta^r)^q, as g is over F_q.
     """
     n, ctx = c.n, c.ctx
     ext = make_extension(ctx, multiplicative_order_mod(ctx.q, n))
     big = ext.field
     zeta = nth_root_of_unity(big, n)
     g = Poly(big, [ext.embed(a) for a in c.g.coeffs])
-    zeros = []
-    nonzeros = []
-    x = 1
-    for i in range(n):
-        if g.eval(x) == 0:
-            zeros.append(i)
-        else:
-            nonzeros.append(i)
-        x = big.mul(x, zeta)
-    return tuple(zeros), tuple(nonzeros)
+    zeros, nonzeros = [], []
+    for coset in cosets(n, ctx.q):
+        side = zeros if g.eval(big.pow(zeta, coset.representative)) == 0 else nonzeros
+        side.extend(coset.members)
+    return tuple(sorted(zeros)), tuple(sorted(nonzeros))

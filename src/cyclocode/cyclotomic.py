@@ -5,6 +5,8 @@ exact Python ints) by recursive division of x^n - 1 by its cofactor, the
 product of the Q_d for proper divisors d, then reduced mod p for a concrete
 field.  The cofactor is kept too: it is the check polynomial of <Q_n>.  Its
 products are field._int_mul, the schoolbook product Poly also uses over F_p.
+The q-cyclotomic cosets behind orders, minimal polynomials and defining sets
+come from one walk, _coset, which is also the one check of n and q.
 """
 
 import math
@@ -147,49 +149,46 @@ class CyclotomicCoset:
     members: tuple
 
 
-def cosets(n, q):
-    """The q-cyclotomic cosets partitioning Z_n, sorted by representative."""
+def _coset(s, n, q):
+    """The sorted q-cyclotomic coset of s, from the one walk s, sq, sq^2, ... mod n;
+    its checks (integers, n >= 1, gcd(n, q) = 1) make the walk return to s."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise InvalidArgument(f"n must be an integer >= 1, got {n!r}")
+    if not isinstance(s, int) or not isinstance(q, int):
+        raise InvalidArgument(f"s and q must be integers, got {s!r} and {q!r}")
     if math.gcd(n, q) != 1:
         raise InvalidArgument(f"gcd({n}, {q}) != 1")
-    seen = [False] * n
-    out = []
-    for i in range(n):
-        if seen[i]:
-            continue
-        members = []
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            members.append(j)
-            j = (j * q) % n
-        out.append(
-            CyclotomicCoset(n=n, q=q, representative=i, members=tuple(sorted(members)))
-        )
+    members = [s % n]
+    while (j := members[-1] * q % n) != members[0]:
+        members.append(j)
+    return tuple(sorted(members))
+
+
+def cosets(n, q):
+    """The q-cyclotomic cosets partitioning Z_n, sorted by representative."""
+    # the coset of 0 is {0}; walking it first checks n and q before range(n)
+    out = [CyclotomicCoset(n=n, q=q, representative=0, members=_coset(0, n, q))]
+    covered = {0}
+    for i in range(1, n):
+        if i not in covered:
+            members = _coset(i, n, q)
+            covered.update(members)
+            out.append(CyclotomicCoset(n=n, q=q, representative=i, members=members))
     return out
 
 
 def multiplicative_order_mod(q, n):
-    """Order of q in the unit group of Z_n."""
-    if math.gcd(n, q) != 1:
-        raise InvalidArgument(f"gcd({n}, {q}) != 1")
-    if n == 1:
-        return 1
-    t = 1
-    acc = q % n
-    while acc != 1:
-        acc = (acc * q) % n
-        t += 1
-    return t
+    """Order of q in the unit group of Z_n: the size of the coset of 1."""
+    return len(_coset(1, n, q))
 
 
 def minimal_poly(s, n, ctx):
     """M^(s) = prod over j in the coset of s of (x - zeta^j), as a base-field Poly."""
-    t = multiplicative_order_mod(ctx.q, n)  # refuses gcd(n, q) != 1
-    ext = make_extension(ctx, t)
+    coset = _coset(s, n, ctx.q)  # checks s, n and q first
+    ext = make_extension(ctx, multiplicative_order_mod(ctx.q, n))
     big = ext.field
     zeta = nth_root_of_unity(big, n)
-    coset = next(c for c in cosets(n, ctx.q) if s % n in c.members)
     prod = Poly.one(big)
-    for j in coset.members:
+    for j in coset:
         prod = prod * Poly(big, [big.neg(big.pow(zeta, j)), 1])
     return Poly(ctx, [ext.retract(c) for c in prod.coeffs])

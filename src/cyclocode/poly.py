@@ -5,6 +5,8 @@ trailing zeros; the zero polynomial is the empty tuple.  All operations are
 schoolbook and exact -- lengths here stay in the hundreds.
 """
 
+from operator import index
+
 from .errors import InvalidArgument
 from .field import _int_mul, factorize
 
@@ -13,24 +15,20 @@ class Poly:
     __slots__ = ("ctx", "coeffs")
 
     def __init__(self, ctx, coeffs):
-        # normalize: reduce prime-field ints given as plain ints, strip zeros;
-        # an extension-field coefficient must already be an encoding in [0, q)
-        if ctx.l == 1:
-            cs = [c % ctx.p for c in coeffs]
-        else:
-            cs = list(coeffs)
-            if cs and (min(cs) < 0 or max(cs) >= ctx.q):
-                raise InvalidArgument(f"coefficients {cs} are not all in {ctx!r}")
+        # normalize: integers only (Python or numpy), reduced mod p over a prime
+        # field, zeros stripped; an extension-field one must be in [0, q) already
+        try:
+            cs = [index(c) % ctx.p for c in coeffs] if ctx.l == 1 else [index(c) for c in coeffs]
+        except TypeError:
+            raise InvalidArgument(f"coefficients over {ctx!r} must be integers") from None
+        if ctx.l > 1 and cs and (min(cs) < 0 or max(cs) >= ctx.q):
+            raise InvalidArgument(f"coefficients {cs} are not all in {ctx!r}")
         while cs and cs[-1] == 0:
             cs.pop()
         self.ctx = ctx
         self.coeffs = tuple(cs)
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, ctx):
-        return cls(ctx, [])
 
     @classmethod
     def one(cls, ctx):

@@ -87,6 +87,8 @@ def test_build_Cn1():
     assert build_Cn1(6, F5).k == 3
     with pytest.raises(InvalidArgument, match="is prime"):
         build_Cn1(7, F2)
+    with pytest.raises(InvalidArgument, match="needs n > 1"):
+        build_Cn1(1, F2)
 
 
 def test_repetition_code():
@@ -97,6 +99,8 @@ def test_repetition_code():
     assert (d.n, d.k) == (5, 4)
     assert min_distance(d).d == 2
     assert build_repetition(1, F3).k == 1
+    with pytest.raises(InvalidArgument, match="needs n >= 1"):
+        build_repetition(0, F2)
 
 
 def test_dual_involution():
@@ -236,6 +240,22 @@ def test_genmatrix_refuses_entries_outside_the_field(literal, row):
     with pytest.raises(InvalidArgument, match=f"not all in {re.escape(repr(ctx))}$"):
         GenMatrix(ctx, [[0, 1, 1], row])
     assert GenMatrix(ctx, [[0, ctx.q - 1, 1]]).rows.tolist() == [[0, ctx.q - 1, 1]]
+
+
+@pytest.mark.parametrize("rows,message", [
+    ([[1.5, 0, 1]], "not all in F_2: got float64"),  # once cast to [1, 0, 1]
+    ([[None, 0, 1]], "not all in F_2: got object"),
+    ([[2 ** 64, 0, 1]], "not all in F_2: got object"),
+    ([[2 ** 63, 0, 1]], "not all in F_2"),  # float64 or uint64, by numpy version
+    (np.array([[2 ** 63, 0, 1]], dtype=np.uint64), r"not all in F_2$"),  # negative as int64
+    ([[True, False, True]], "not all in F_2: got bool"),
+    ([["1", "0", "1"]], "not all in F_2: got <U1"),
+    ([[1, 0, 1], [1, 0]], "2-D array"),  # ragged
+    ([[[1, 0, 1]]], "2-D array"),
+])
+def test_genmatrix_refuses_rows_that_are_not_an_integer_matrix(rows, message):
+    with pytest.raises(InvalidArgument, match=message):
+        GenMatrix(F2, rows)
 
 
 def test_genmatrix_equality_is_row_space_equality():
@@ -683,6 +703,15 @@ def test_zeros_and_nonzeros_embeds_g_once(literal, n):
     with mock.patch.object(Extension, "embed", autospec=True, side_effect=embed) as spy:
         zeros_and_nonzeros(c)
     assert 0 < spy.call_count <= c.g.degree + 1
+
+
+@pytest.mark.parametrize("literal,n", [("2", 63), ("3", 80)])
+def test_zeros_and_nonzeros_evaluates_g_once_per_coset(literal, n):
+    c = build_Cn(n, parse_field(literal))
+    with mock.patch.object(Poly, "eval", autospec=True, side_effect=Poly.eval) as spy:
+        zeros, nonzeros = zeros_and_nonzeros(c)
+    assert spy.call_count == len(cosets(n, c.ctx.q)) < n
+    assert sorted(zeros + nonzeros) == list(range(n))
 
 
 def test_zeros_in_the_field_itself_build_no_embedding_table(monkeypatch):

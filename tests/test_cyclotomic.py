@@ -1,7 +1,9 @@
 import math
+from unittest import mock
 
 import pytest
 
+from cyclocode import cyclotomic
 from cyclocode.cyclotomic import (
     _int_divexact,
     cofactor_int,
@@ -162,6 +164,45 @@ def test_cosets_partition():
 def test_cosets_rejects_non_coprime():
     with pytest.raises(InvalidArgument, match=r"gcd\(15, 3\)"):
         cosets(15, 3)
+
+
+# The first two never returned: q^t mod a negative n never equals 1.
+@pytest.mark.parametrize("call", [
+    lambda: multiplicative_order_mod(2, -5),
+    lambda: minimal_poly(1, -5, F2),
+    lambda: cosets(-5, 2),  # once []
+    lambda: cosets(0, 2),
+    lambda: cosets(7.0, 2),
+    lambda: cosets(True, 2),
+], ids=["order-n-5", "minimal-poly-n-5", "cosets-n-5", "cosets-n0", "cosets-float", "cosets-bool"])
+def test_coset_walk_refuses_n_that_is_not_an_integer_at_least_1(call):
+    with pytest.raises(InvalidArgument, match="n must be an integer >= 1"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: minimal_poly(1.5, 7, F2),  # 1.5 q^j mod 7 never comes back to 1.5
+    lambda: cosets(7, 2.0),
+    lambda: multiplicative_order_mod("2", 7),
+], ids=["minimal-poly-s-float", "cosets-q-float", "order-q-str"])
+def test_coset_walk_refuses_s_or_q_that_is_not_an_integer(call):
+    with pytest.raises(InvalidArgument, match="s and q must be integers"):
+        call()
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25])
+def test_multiplicative_order_is_the_least_t_with_q_to_the_t_equal_to_1(q):
+    for n in range(1, 301):
+        if math.gcd(n, q) == 1:
+            t = next(t for t in range(1, n + 1) if pow(q, t, n) == 1 % n)
+            assert multiplicative_order_mod(q, n) == t, n
+
+
+def test_minimal_poly_walks_only_its_own_coset():
+    with mock.patch.object(cyclotomic, "cosets", side_effect=cyclotomic.cosets) as spy:
+        assert minimal_poly(3, 7, F2) == minimal_poly(5, 7, F2)
+        assert minimal_poly(8, 7, F2) == minimal_poly(1, 7, F2)  # s is taken mod n
+    assert spy.call_count == 0
 
 
 def test_minimal_poly_trivial_coset():

@@ -91,6 +91,10 @@ def test_make_extension_basic():
     assert ext.field.q == 8
     same = make_extension(f2, 1)
     assert same.field is f2
+    with pytest.raises(InvalidArgument, match="degree must be >= 1"):
+        make_extension(parse_field("2^2"), 0)
+    with pytest.raises(InvalidArgument, match="not in the embedded base field"):
+        ext.retract(2)  # F_2 sits in F_8 as {0, 1}
 
 
 @pytest.mark.parametrize("literal", ["2", "2^3", "3^2", "2^10"])
@@ -238,6 +242,12 @@ def test_prime_power_literal_names_its_field(literal, message):
 def test_reducible_modulus_rejected(p, modulus):
     with pytest.raises(InvalidArgument, match="not irreducible"):
         FieldCtx(p, len(modulus) - 1, modulus)
+
+
+@pytest.mark.parametrize("l,modulus", [(2, (1, 1)), (2, (1, 1, 0, 1)), (2, (1, 1, 2)), (3, None)])
+def test_modulus_must_be_monic_of_degree_l(l, modulus):
+    with pytest.raises(InvalidArgument, match="monic of degree l"):
+        FieldCtx(2, l, modulus)
 
 
 def test_canonical_modulus_is_deterministic():

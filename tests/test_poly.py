@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -28,7 +29,7 @@ def test_divmod_examples():
 
 def test_divmod_by_zero():
     with pytest.raises(InvalidArgument, match="division by zero"):
-        divmod(Poly(F5, [1, 1]), Poly.zero(F5))
+        divmod(Poly(F5, [1, 1]), Poly(F5, []))
 
 
 @pytest.mark.parametrize("literal", ["2", "5", "3^2"])
@@ -96,7 +97,7 @@ def test_reciprocal_examples():
     drop = Poly(F2, [0, 1, 1])  # x^2 + x, constant term zero
     assert reciprocal(drop) == Poly(F2, [1, 1])
     with pytest.raises(InvalidArgument, match="reciprocal"):
-        reciprocal(Poly.zero(F2))
+        reciprocal(Poly(F2, []))
 
 
 @pytest.mark.parametrize("literal", ["2", "3", "5"])
@@ -119,6 +120,8 @@ def test_is_irreducible_examples():
     assert is_irreducible(Poly(F5, [3, 1]))
     # Q_8 = x^4 + 1 splits over F_3 because 3 has order 2 mod 8
     assert not is_irreducible(cyclotomic_poly(8, F3))
+    with pytest.raises(InvalidArgument, match="degree >= 1"):
+        is_irreducible(Poly(F5, [3]))
 
 
 def test_eval_examples():
@@ -138,4 +141,28 @@ def test_extension_coefficients_must_be_elements():
         with pytest.raises(CycloError):
             Poly(f4, bad)
     assert Poly(f4, [3, 1]).coeffs == (3, 1)
+
+
+@pytest.mark.parametrize("literal,coeffs", [
+    ("5", [1.5, 2]),  # once kept as (1.5, 2)
+    ("2^2", [1.5, 2]),  # once passed the range check
+    ("5", ["a", 2]),  # once a TypeError from %
+    ("5", [None, 1]),
+    ("5", 3),
+])
+def test_coefficients_must_be_integers(literal, coeffs):
+    with pytest.raises(InvalidArgument, match="must be integers"):
+        Poly(parse_field(literal), coeffs)
+
+
+def test_numpy_integer_coefficients_become_ints():
+    f = Poly(F5, [np.int64(7), np.uint8(2), 1])
+    assert f.coeffs == (2, 2, 1) and {type(c) for c in f.coeffs} == {int}
+    g = Poly(parse_field("2^2"), np.array([3, 1]))
+    assert g.coeffs == (3, 1) and {type(c) for c in g.coeffs} == {int}
+
+
+def test_the_zero_polynomial_has_no_monic_form():
+    with pytest.raises(InvalidArgument, match="no monic form"):
+        Poly(F5, []).monic()
     assert Poly(F5, [7, -1]).coeffs == (2, 4)  # prime fields reduce plain ints

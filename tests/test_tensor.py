@@ -59,6 +59,8 @@ def test_kronecker_examples():
         dual(build_repetition(5, F2)).generator_matrix(),
     )
     assert r.rref().num_rows == 8
+    with pytest.raises(InvalidArgument, match="different fields"):
+        kronecker(ones, g)
 
 
 def test_kronecker_extension_field_entries():

@@ -6,7 +6,7 @@ import pytest
 from cyclocode import codes
 from cyclocode.cli import main as cli_main
 from cyclocode.codes import DEFAULT_BUDGET, build_Cn
-from cyclocode.errors import ConfigInvalid
+from cyclocode.errors import ConfigInvalid, CycloError
 from cyclocode.field import make_prime_field
 from cyclocode.report import (
     CSV_COLUMNS,
@@ -168,6 +168,9 @@ def test_config_from_file(tmp_path):
     bad.write_text("{nope")
     with pytest.raises(ConfigInvalid):
         SweepConfig.from_file(str(bad))
+    bad.write_text('["2"]')
+    with pytest.raises(ConfigInvalid, match="must be a JSON object"):
+        SweepConfig.from_file(str(bad))
 
 
 def test_emit_report_csv(tmp_path):
@@ -196,6 +199,15 @@ def test_emit_report_json_round_trip(tmp_path):
     assert json.loads(path.read_text()) == [r.to_dict() for r in records]
 
 
+def test_emit_report_refusals(tmp_path):
+    with pytest.raises(CycloError, match="unknown report format 'xml'"):
+        emit_report([], "xml", str(tmp_path / "out.xml"))
+    missing = tmp_path / "no-such-dir" / "out.csv"
+    with pytest.raises(CycloError, match="No such file or directory"):
+        emit_report([], "csv", str(missing))
+    assert not missing.parent.exists()
+
+
 def test_sweep_determinism(tmp_path):
     cfg = SweepConfig(fields=["2"], n_range=(2, 10))
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -221,6 +233,11 @@ def test_cli_code_verbs(capsys):
         ["code", "build", "--n", "4", "--field", "5", "--gen", "[4, 1]"]
     ) == 0
     assert json.loads(capsys.readouterr().out)["k"] == 3
+    assert cli_main(["code", "dual", "--n", "7", "--field", "2", "--kind", "rn"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["k"], out["generator"], out["label"]) == (6, [1, 1], "R_n^perp")
+    assert cli_main(["code", "weights", "--n", "5", "--field", "2", "--kind", "rn"]) == 0
+    assert json.loads(capsys.readouterr().out)["weights"] == [1, 0, 0, 0, 0, 1]
 
 
 def _flat_dict_row(rec):
