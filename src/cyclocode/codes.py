@@ -10,19 +10,26 @@ Matrices hold field-element encodings in int64 numpy arrays; row reduction
 acts on whole rows through the field's add/mul tables, for prime and
 extension fields alike.  A cyclic code's generator matrix is its canonical
 RREF [I_k | P], read off g by systematic encoding, so it is never
-row-reduced.  Minimum distances and weight distributions come from one
-meet-in-the-middle enumeration over the prime subfield, the same for every
-field: a table of all combinations of the first rows, walked by an odometer
-over the remaining rows, within a budget that check_budget validates.  A
-GenMatrix refuses any entry that is not an element of its field.
+row-reduced.  The builders share one code per (n, field), and a code keeps
+its matrix and its dual once made; matrix rows are read-only, so no holder
+of a shared matrix can change it.  sum_codes extends one RREF basis by the
+other code's rows instead of row-reducing the two stacked.  Minimum
+distances and weight distributions come from one meet-in-the-middle
+enumeration over the prime subfield, the same for every field: a table of
+all combinations of the first rows, walked by an odometer over the
+remaining rows, within a budget that check_budget validates.  A GenMatrix
+refuses any entry that is not an element of its field.
 """
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .cyclotomic import cosets, cyclotomic_cofactor, cyclotomic_poly, multiplicative_order_mod
+from .cyclotomic import (
+    check_n, cosets, cyclotomic_cofactor, cyclotomic_poly, multiplicative_order_mod,
+)
 from .errors import BudgetExceeded, CycloError, InvalidArgument
 from .field import is_prime, make_extension, nth_root_of_unity
 from .poly import Poly, reciprocal
@@ -58,6 +65,7 @@ class GenMatrix:
         # one reduction: a negative entry read as uint64 is at least 2^63
         if arr.size and arr.view(np.uint64).max() >= ctx.q:
             raise InvalidArgument(f"matrix entries are not all in {ctx!r}")
+        arr.flags.writeable = False  # a matrix may be shared, as a code's is
         self.ctx = ctx
         self.rows = arr
         self.canonical = canonical
@@ -135,9 +143,12 @@ class CyclicCode:
         self.h = h
         self.k = n - g.degree
         self.label = label
+        self._matrix = None
+        self._dual = None
 
     def generator_matrix(self):
-        """The canonical RREF [I_k | P], read off g without row reduction.
+        """The canonical RREF [I_k | P], read off g without row reduction
+        on the first call and returned again on every later one.
 
         As x^n = 1 mod g, row i is e_i followed by the coefficients of
         t_i = -(x^(r+i) mod g), r = deg g (MacWilliams & Sloane, ch. 7).
@@ -145,6 +156,8 @@ class CyclicCode:
         coefficients of the monic g, and t_(i+1) = x t_i mod g, which is t_i
         shifted up one place plus its top coefficient times x^r mod g = -t_0.
         """
+        if self._matrix is not None:
+            return self._matrix
         ctx, k, r = self.ctx, self.k, self.g.degree
         rows = np.zeros((k, self.n), dtype=np.int64)
         rows[:, :k] = np.eye(k, dtype=np.int64)
@@ -160,7 +173,8 @@ class CyclicCode:
                 if top:
                     t = [add(a, mul(top, b)) for a, b in zip(t, feedback)]
             rows[:, k:] = block
-        return GenMatrix(ctx, rows, n=self.n, canonical=True)
+        self._matrix = GenMatrix(ctx, rows, n=self.n, canonical=True)
+        return self._matrix
 
     def to_dict(self):
         return {
@@ -181,8 +195,7 @@ def from_generator(g, n, label=""):
     Divides x^n - 1 by g to check g and find h; the builders and dual below
     know h already and do not come here.
     """
-    if n < 1:
-        raise InvalidArgument(f"code length must be >= 1, got {n}")
+    check_n(n)
     if g.is_zero or not g.is_monic:
         raise InvalidArgument("generator must be monic and nonzero")
     xn1 = Poly.x_n_minus_1(g.ctx, n)
@@ -192,6 +205,12 @@ def from_generator(g, n, label=""):
     return CyclicCode(n, g.ctx, g, h, label=label)
 
 
+# Each builder shares one code per (n, field), with its matrix and dual, among
+# its last 32 (n, field): the sweep configs in perfbench/configs and the
+# default sweep build no generator matrix twice with 32, and 64 held
+# 0.5-0.7 MB more peak memory.  typed: 7.0 == 7, and a float n must reach
+# the check of n, not C_7's entry.
+@lru_cache(maxsize=32, typed=True)
 def build_Cn(n, ctx):
     """The code generated by Q_n; an [n, n - phi(n)] code.
 
@@ -205,13 +224,15 @@ def build_Cn(n, ctx):
     )
 
 
+@lru_cache(maxsize=32, typed=True)
 def build_Cn1(n, ctx):
     """The code generated by Q_n * Q_1; defined for composite n only.
 
     Its check polynomial is the cofactor of Q_n divided exactly by
     Q_1 = x - 1 over the integers.
     """
-    if n <= 1:
+    check_n(n)
+    if n == 1:
         raise InvalidArgument(f"build_Cn1 needs n > 1, got {n}")
     if is_prime(n):
         raise InvalidArgument(f"n = {n} is prime, the code would be the zero code")
@@ -220,25 +241,30 @@ def build_Cn1(n, ctx):
     return CyclicCode(n, ctx, g, h, label="C_{n,1}")
 
 
+@lru_cache(maxsize=32, typed=True)
 def build_repetition(n, ctx):
     """The [n, 1, n] repetition code, generated by 1 + x + ... + x^(n-1);
     its check polynomial is x - 1."""
     if n < 1:
         raise InvalidArgument(f"repetition code needs n >= 1, got {n}")
+    check_n(n)
     g = Poly(ctx, [1] * n)
     return CyclicCode(n, ctx, g, Poly.x_n_minus_1(ctx, 1), label="R_n")
 
 
 def dual(c):
     """Euclidean dual, generated by the monic h* / h(0) (MacWilliams & Sloane,
-    ch. 7), with check polynomial -h(0) g*.
+    ch. 7), with check polynomial -h(0) g*; kept on c, so every call on one
+    code returns one dual.
 
     g h = x^n - 1 reverses to g* h* = 1 - x^n, so the two multiply to
     x^n - 1 again: O(n) work, with no division.  h(0) and g(0) are nonzero
     as x does not divide x^n - 1, so h* and g* keep their degrees.
     """
-    h = reciprocal(c.g).scale(c.ctx.neg(c.h.constant_term()))
-    return CyclicCode(c.n, c.ctx, reciprocal(c.h).monic(), h, label=c.label + "^perp")
+    if c._dual is None:
+        h = reciprocal(c.g).scale(c.ctx.neg(c.h.constant_term()))
+        c._dual = CyclicCode(c.n, c.ctx, reciprocal(c.h).monic(), h, label=c.label + "^perp")
+    return c._dual
 
 
 def _as_matrix(obj):
@@ -263,11 +289,43 @@ def same_code(a, b):
     return np.array_equal(ma.rref().rows, mb.rref().rows)
 
 
+def _pivot_columns(m):
+    """The column of each row's leading 1 in a canonical matrix."""
+    return (m.rows != 0).argmax(axis=1) if m.num_rows else np.zeros(0, dtype=np.int64)
+
+
+def _clear(ctx, rows, cols, basis):
+    """rows - rows[:, cols] . basis over F_q: rows cleared on cols, the pivot
+    columns of the canonical rows basis.  The products are mul_array of the
+    negated coefficients; the base-p digits of encodings add independently,
+    so the products are summed digit by digit mod p, and one add_array adds
+    that sum to rows."""
+    p = ctx.p
+    minus = ctx.mul_array(p - 1, rows[:, cols])
+    products = ctx.mul_array(minus[:, :, None], basis[None, :, :])
+    places = p ** np.arange(ctx.l, dtype=np.int64)
+    digits = products[..., None] // places % p
+    return ctx.add_array(rows, (digits.sum(axis=1) % p) @ places)
+
+
 def sum_codes(a, b):
-    """RREF basis of the sum of two codes of equal length."""
+    """RREF basis of the sum of two codes of equal length.
+
+    Extends a's RREF basis instead of row-reducing the stacked rows: b's rows
+    are cleared on a's pivot columns, only what is left of them is
+    row-reduced, a's rows are cleared on the new pivot columns, and the rows
+    are merged in pivot-column order.  That is the RREF of the stack, as the
+    RREF of a row space is unique; a cyclic code's RREF costs nothing.
+    """
     ma, mb = _matrices(a, b)
-    stacked = np.vstack([ma.rows, mb.rows])
-    return GenMatrix(ma.ctx, stacked, n=ma.n).rref()
+    ma = ma.rref()
+    ctx = ma.ctx
+    pivots = _pivot_columns(ma)
+    new = GenMatrix(ctx, _clear(ctx, mb.rows, pivots, ma.rows), n=ma.n).rref()
+    new_pivots = _pivot_columns(new)
+    old = _clear(ctx, ma.rows, new_pivots, new.rows)
+    order = np.argsort(np.concatenate([pivots, new_pivots]))
+    return GenMatrix(ctx, np.vstack([old, new.rows])[order], n=ma.n, canonical=True)
 
 
 # -- exhaustive enumeration ----------------------------------------------------

@@ -6,7 +6,9 @@ product of the Q_d for proper divisors d, then reduced mod p for a concrete
 field.  The cofactor is kept too: it is the check polynomial of <Q_n>.  Its
 products are field._int_mul, the schoolbook product Poly also uses over F_p.
 The q-cyclotomic cosets behind orders, minimal polynomials and defining sets
-come from one walk, _coset, which is also the one check of n and q.
+come from one walk, _coset, which is also the one check of s and q.  Every n
+goes through check_n: profile, Q_n, its cofactor and the cosets refuse one
+that is not an int of at least 1 with the same message.
 """
 
 import math
@@ -38,9 +40,15 @@ class ArithmeticProfile:
         }
 
 
+def check_n(n):
+    """The one rule for n, a length or an order: raise InvalidArgument unless
+    n is an int (not a bool) of at least 1."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise InvalidArgument(f"n must be an integer >= 1, got {n!r}")
+
+
 def profile(n):
-    if n < 1:
-        raise InvalidArgument(f"n must be >= 1, got {n}")
+    check_n(n)
     fact = tuple(factorize(n))
     phi = n
     for p, _ in fact:
@@ -100,8 +108,7 @@ def cyclotomic_int(n):
 
 
 def _check_length(n, ctx):
-    if n < 1:
-        raise InvalidArgument(f"n must be >= 1, got {n}")
+    check_n(n)
     if n % ctx.p == 0:
         raise InvalidArgument(
             f"characteristic {ctx.p} divides n = {n}"
@@ -152,8 +159,7 @@ class CyclotomicCoset:
 def _coset(s, n, q):
     """The sorted q-cyclotomic coset of s, from the one walk s, sq, sq^2, ... mod n;
     its checks (integers, n >= 1, gcd(n, q) = 1) make the walk return to s."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise InvalidArgument(f"n must be an integer >= 1, got {n!r}")
+    check_n(n)
     if not isinstance(s, int) or not isinstance(q, int):
         raise InvalidArgument(f"s and q must be integers, got {s!r} and {q!r}")
     if math.gcd(n, q) != 1:

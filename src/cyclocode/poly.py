@@ -11,22 +11,37 @@ from .errors import InvalidArgument
 from .field import _int_mul, factorize
 
 
+def _stripped(cs):
+    """cs without trailing zeros, as a tuple."""
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
 class Poly:
     __slots__ = ("ctx", "coeffs")
 
     def __init__(self, ctx, coeffs):
-        # normalize: integers only (Python or numpy), reduced mod p over a prime
-        # field, zeros stripped; an extension-field one must be in [0, q) already
+        # normalize: integers only (Python or numpy, not bool, which index()
+        # reads as 0 or 1), reduced mod p over a prime field, zeros stripped;
+        # an extension-field one must be in [0, q) already
         try:
             cs = [index(c) % ctx.p for c in coeffs] if ctx.l == 1 else [index(c) for c in coeffs]
         except TypeError:
-            raise InvalidArgument(f"coefficients over {ctx!r} must be integers") from None
+            cs = None
+        if cs is None or bool in map(type, coeffs):
+            raise InvalidArgument(f"coefficients over {ctx!r} must be integers")
         if ctx.l > 1 and cs and (min(cs) < 0 or max(cs) >= ctx.q):
             raise InvalidArgument(f"coefficients {cs} are not all in {ctx!r}")
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.ctx = ctx
-        self.coeffs = tuple(cs)
+        self.ctx, self.coeffs = ctx, _stripped(cs)
+
+    @classmethod
+    def _of(cls, ctx, cs):
+        """The polynomial of a list of elements of ctx that the arithmetic
+        here computed, so it skips __init__'s checks."""
+        f = cls.__new__(cls)
+        f.ctx, f.coeffs = ctx, _stripped(cs)
+        return f
 
     # -- constructors ------------------------------------------------------
 
@@ -88,11 +103,11 @@ class Poly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] = ctx.add(out[i], c)
-        return Poly(ctx, out)
+        return Poly._of(ctx, out)
 
     def __neg__(self):
         ctx = self.ctx
-        return Poly(ctx, [ctx.neg(c) for c in self.coeffs])
+        return Poly._of(ctx, [ctx.neg(c) for c in self.coeffs])
 
     def __sub__(self, other):
         return self + (-other)
@@ -102,18 +117,19 @@ class Poly:
         ctx = self.ctx
         a, b = self.coeffs, other.coeffs
         if ctx.l == 1:
-            return Poly(ctx, _int_mul(a, b))  # __init__ reduces mod p
+            p = ctx.p
+            return Poly._of(ctx, [c % p for c in _int_mul(a, b)])
         out = [0] * (len(a) + len(b) - 1)
         add, mul = ctx.add, ctx.mul
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
                     out[i + j] = add(out[i + j], mul(x, y))
-        return Poly(ctx, out)
+        return Poly._of(ctx, out)
 
     def scale(self, c):
         ctx = self.ctx
-        return Poly(ctx, [ctx.mul(c, x) for x in self.coeffs])
+        return Poly._of(ctx, [ctx.mul(c, x) for x in self.coeffs])
 
     def monic(self):
         if self.is_zero:
@@ -142,7 +158,7 @@ class Poly:
             minus_f = mul(ctx.p - 1, f)  # one negation per step; the loop only adds
             for j, bc in enumerate(other.coeffs):
                 rem[i + j] = add(rem[i + j], mul(minus_f, bc))
-        return Poly(ctx, quot), Poly(ctx, rem)
+        return Poly._of(ctx, quot), Poly._of(ctx, rem)
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -183,7 +199,7 @@ def reciprocal(f):
     """x^deg(f) * f(1/x): reversed coefficients, trailing zeros stripped."""
     if f.is_zero:
         raise InvalidArgument("zero polynomial has no reciprocal")
-    return Poly(f.ctx, list(reversed(f.coeffs)))
+    return Poly._of(f.ctx, list(reversed(f.coeffs)))
 
 
 def is_irreducible(f):

@@ -287,6 +287,92 @@ def test_sum_codes():
     assert same_code(sum_codes(zero_dim, c), c)
 
 
+# F_{2^10} is above TABLE_LIMIT: products and sums go through scalar add/mul.
+SUM_FIELDS = ["2", "3", "2^2", "3^2", "2^10"]
+
+
+@st.composite
+def _row_pairs(draw):
+    """Rows a and b over one field, either of them possibly empty: b has
+    repeated rows, so it is rank deficient, or lies in the row space of a."""
+    ctx = parse_field(draw(st.sampled_from(SUM_FIELDS)))
+    n = draw(st.integers(1, 7))
+    entry = st.one_of(st.just(0), st.just(1), st.integers(0, ctx.q - 1))
+    rows = st.lists(st.lists(entry, min_size=n, max_size=n), max_size=4)
+    a = draw(rows)
+    if draw(st.booleans()):
+        b = []
+        for _ in range(draw(st.integers(0, 3))):
+            word = [0] * n
+            for row in a:
+                c = draw(st.integers(0, ctx.q - 1))
+                word = [naive_field_add(ctx, x, naive_field_mul(ctx, c, y)) for x, y in zip(word, row)]
+            b.append(word)
+    else:
+        b = draw(rows)
+        if b:
+            b += [b[i] for i in draw(st.lists(st.integers(0, len(b) - 1), min_size=1, max_size=2))]
+    return ctx, a, b, n
+
+
+@settings(max_examples=200, deadline=None)
+@given(_row_pairs())
+@example((F2, [[0, 1, 1]], [[1, 1, 0]], 3))  # b's pivot comes first
+@example((F2, [], [[1, 1], [1, 1]], 2))
+@example((F2, [[1, 0]], [], 2))
+def test_sum_codes_is_the_rref_of_the_stacked_rows(case):
+    ctx, a, b, n = case
+    s = sum_codes(GenMatrix(ctx, a, n=n), GenMatrix(ctx, b, n=n))
+    assert s.canonical and s.n == n
+    assert s.rows.tolist() == naive_rref(ctx, a + b)
+
+
+def test_builders_share_one_code_with_one_matrix_and_one_dual():
+    for build in (build_Cn, build_Cn1, build_repetition):
+        c = build(15, F2)
+        assert build(15, F2) is c
+        assert c.generator_matrix() is c.generator_matrix()
+        assert dual(c) is dual(c)
+    assert build_Cn(15, F2) is not build_Cn(15, parse_field("2^2"))
+
+
+def test_code_lengths_go_through_the_one_n_rule():
+    c7, r1 = build_Cn(7, F2), build_repetition(1, F2)
+    for call in (
+        lambda: build_Cn(7.0, F2),
+        lambda: build_Cn(7.5, F2),
+        lambda: build_Cn1(9.0, F2),
+        lambda: build_repetition(1.0, F2),
+        lambda: build_repetition(True, F2),
+        lambda: build_repetition(7.5, F2),  # once a TypeError from [1] * n
+        lambda: from_generator(Poly(F2, [1, 1]), 7.5),  # once a TypeError too
+        lambda: from_generator(Poly(F2, [1, 1]), 0),
+    ):
+        for _ in range(2):  # a refused n is not stored
+            with pytest.raises(InvalidArgument, match="n must be an integer >= 1"):
+                call()
+    assert build_Cn(7, F2) is c7 and build_repetition(1, F2) is r1
+
+
+def test_genmatrix_rows_are_read_only():
+    c = build_Cn(15, F2)
+    given_rows = np.array([[1, 1, 0], [0, 1, 1]])
+    loose = GenMatrix(F2, given_rows)
+    matrices = [
+        loose,
+        loose.rref(),
+        c.generator_matrix(),
+        dual(c).generator_matrix(),
+        sum_codes(dual(c), build_repetition(15, F2)),
+        GenMatrix(parse_field("2^10"), [[1023, 5]]),
+    ]
+    for m in matrices:
+        with pytest.raises(ValueError, match="read-only"):
+            m.rows[0, 0] = 0
+    given_rows[0, 0] = 0  # the caller's own array stays writeable
+    assert loose.rows[0, 0] == 1
+
+
 def test_min_distance_known_values():
     assert min_distance(build_Cn(15, F2)).d == 3
     assert min_distance(build_Cn1(15, F2)).d == 6

@@ -180,6 +180,21 @@ def test_coset_walk_refuses_n_that_is_not_an_integer_at_least_1(call):
         call()
 
 
+# profile and Q_n once ended in TypeError tracebacks from range and from a
+# list repetition; they now share the coset walk's check of n.
+@pytest.mark.parametrize("call", [
+    lambda: profile(7.5),
+    lambda: profile(True),
+    lambda: profile(0),
+    lambda: cyclotomic_poly(7.0, F2),
+    lambda: cyclotomic_cofactor(7.5, F2),
+    lambda: cyclotomic_poly(-3, F2),
+], ids=["profile-float", "profile-bool", "profile-n0", "q-float", "cofactor-float", "q-n-3"])
+def test_profile_and_q_n_refuse_n_that_is_not_an_integer_at_least_1(call):
+    with pytest.raises(InvalidArgument, match=r"^n must be an integer >= 1, got "):
+        call()
+
+
 @pytest.mark.parametrize("call", [
     lambda: minimal_poly(1.5, 7, F2),  # 1.5 q^j mod 7 never comes back to 1.5
     lambda: cosets(7, 2.0),

@@ -149,6 +149,8 @@ def test_extension_coefficients_must_be_elements():
     ("5", ["a", 2]),  # once a TypeError from %
     ("5", [None, 1]),
     ("5", 3),
+    ("5", [True, 1]),  # once read as 1 by operator.index
+    ("2^2", [1, False]),
 ])
 def test_coefficients_must_be_integers(literal, coeffs):
     with pytest.raises(InvalidArgument, match="must be integers"):

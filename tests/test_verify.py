@@ -1,6 +1,7 @@
 import json
 import time
 
+import numpy as np
 import pytest
 
 from cyclocode import codes
@@ -82,6 +83,19 @@ def test_sweep_walks_each_dual_cn_once(theorems, monkeypatch):
         dual_dist, tensor = rows["CN-DUAL-DIST", n], rows["TENSOR-EQUIV", n]
         assert dual_dist.status == tensor.status == "pass"
         assert dual_dist.measured == tensor.measured == (n, dual_dist.claimed[1], 4)
+
+
+def test_sweep_algebra_grid_runs_one_lfsr_per_distinct_code(monkeypatch):
+    """The grid of perfbench/configs/sweep-algebra.json asks for 732 generator
+    matrices of 473 distinct codes; each is built once (one np.eye each)."""
+    for build in (codes.build_Cn, codes.build_Cn1, codes.build_repetition):
+        build.cache_clear()
+    runs, eye = [], np.eye
+    monkeypatch.setattr(np, "eye", lambda *a, **k: runs.append(1) or eye(*a, **k))
+    theorems = ["FACTORIZATION", "CN1-DUAL-SUM", "TENSOR-EQUIV"]
+    records = sweep(SweepConfig(n_range=(2, 56), theorems=theorems, budget=1))
+    assert len(runs) == 473
+    assert not [r for r in records if r.status == "fail"]
 
 
 @pytest.mark.parametrize(
@@ -197,6 +211,16 @@ def test_emit_report_json_round_trip(tmp_path):
     )]
     emit_report(records, "json", str(path))
     assert json.loads(path.read_text()) == [r.to_dict() for r in records]
+
+
+def test_emit_report_json_is_json_dumps_indented(tmp_path):
+    """The JSON report is written in blocks of tokens, with json.dump's bytes."""
+    path = tmp_path / "out.json"
+    records = zero_elapsed(sweep(SweepConfig(fields=["2", "3"], n_range=(2, 40))))
+    assert len(records) > 100  # about 50 tokens a record: several blocks
+    for rows in (records, []):
+        emit_report(rows, "json", str(path))
+        assert path.read_text() == json.dumps([r.to_dict() for r in rows], indent=2) + "\n"
 
 
 def test_emit_report_refusals(tmp_path):
@@ -460,6 +484,7 @@ def test_cli_format_without_output_writes_that_format_to_stdout(
         ["code", "mindist", "--n", "2", "--field", "2", "--gen", "[1, 0, 1]"],
         ["code", "build", "--n", "3", "--field", "2^2", "--gen", "[7, 1]"],
         ["code", "build", "--n", "4", "--field", "5", "--gen", "[4.5, 1]"],
+        ["code", "build", "--n", "4", "--field", "5", "--gen", "[true, 1]"],
         ["code", "build", "--n", "3", "--field", "2^2", "--gen", '["a", 1]'],
         ["code", "build", "--n", "4", "--field", "5", "--gen", "3"],
         ["code", "build", "--n", "4", "--field", "5", "--gen", "[1,"],
@@ -472,7 +497,7 @@ def test_cli_format_without_output_writes_that_format_to_stdout(
     ],
     ids=[
         "cyclo-n0", "mindist-n1", "mindist-zero-code", "build-non-element",
-        "gen-float", "gen-string", "gen-not-list", "gen-bad-json",
+        "gen-float", "gen-bool", "gen-string", "gen-not-list", "gen-bad-json",
         "field-abc", "field-bad-exponent", "field-zero-exponent",
         "gen-negative-n", "gen-n0", "gen-int-too-long",
     ],
