@@ -11,8 +11,9 @@ acts on whole rows through the field's add/mul tables, for prime and
 extension fields alike.  A cyclic code's generator matrix is its canonical
 RREF [I_k | P], read off g by systematic encoding, so it is never
 row-reduced.  The builders share one code per (n, field), and a code keeps
-its matrix and its dual once made; matrix rows are read-only, so no holder
-of a shared matrix can change it.  sum_codes extends one RREF basis by the
+its matrix and its dual once made; codes, matrices and their rows are
+read-only, so no holder of a shared one can change it, and only the RREFs
+made here are marked canonical.  sum_codes extends one RREF basis by the
 other code's rows instead of row-reducing the two stacked.  Minimum
 distances and weight distributions come from one meet-in-the-middle
 enumeration over the prime subfield, the same for every field: a table of
@@ -22,16 +23,14 @@ refuses any entry that is not an element of its field.
 """
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .cyclotomic import (
-    check_n, cosets, cyclotomic_cofactor, cyclotomic_poly, multiplicative_order_mod,
-)
+from .cyclotomic import cosets, cyclotomic_cofactor, cyclotomic_poly, multiplicative_order_mod
 from .errors import BudgetExceeded, CycloError, InvalidArgument
-from .field import is_prime, make_extension, nth_root_of_unity
+from .field import _read_only, check_n, is_prime, make_extension, nth_root_of_unity
 from .poly import Poly, reciprocal
 
 DEFAULT_BUDGET = 1 << 24
@@ -46,8 +45,9 @@ _LOW_TABLE = 1 << 13
 
 class GenMatrix:
     """Rows spanning a linear code; rows are encodings over a FieldCtx."""
+    __setattr__ = __delattr__ = _read_only
 
-    def __init__(self, ctx, rows, n=None, canonical=False):
+    def __init__(self, ctx, rows, n=None):
         try:
             arr = np.array(rows)
         except ValueError:  # ragged rows
@@ -66,9 +66,21 @@ class GenMatrix:
         if arr.size and arr.view(np.uint64).max() >= ctx.q:
             raise InvalidArgument(f"matrix entries are not all in {ctx!r}")
         arr.flags.writeable = False  # a matrix may be shared, as a code's is
-        self.ctx = ctx
-        self.rows = arr
-        self.canonical = canonical
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "rows", arr)
+        object.__setattr__(self, "canonical", False)
+
+    @classmethod
+    def _of(cls, ctx, rows):
+        """rows, checked by __init__, marked canonical: rref and the distance
+        floor trust the mark, so only rref, generator_matrix and sum_codes set it."""
+        m = cls(ctx, rows)
+        object.__setattr__(m, "canonical", True)
+        return m
+
+    def __reduce__(self):
+        # a copy or pickle is rebuilt with read-only rows, marked only if this is
+        return (GenMatrix._of if self.canonical else GenMatrix), (self.ctx, self.rows)
 
     @property
     def n(self):
@@ -105,7 +117,7 @@ class GenMatrix:
                 scaled = ctx.mul_array(factors[hit, None], minus_pivot)
                 rows[hit] = ctx.add_array(rows[hit], scaled)
             top += 1
-        return GenMatrix(ctx, rows[:top], n=self.n, canonical=True)
+        return GenMatrix._of(ctx, rows[:top])
 
     def __repr__(self):
         return f"GenMatrix({self.ctx!r}, {self.num_rows}x{self.n})"
@@ -124,27 +136,23 @@ class DistanceReport:
     elapsed: float
 
     def to_dict(self):
-        return {
-            "d": self.d,
-            "codewords_enumerated": self.codewords_enumerated,
-            "method": self.method,
-            "elapsed": self.elapsed,
-        }
+        return asdict(self)
 
 
 class CyclicCode:
     """A cyclic code of length n given by a monic generator g dividing
     x^n - 1, with its check polynomial h = (x^n - 1) / g."""
+    __setattr__ = __delattr__ = _read_only
 
     def __init__(self, n, ctx, g, h, label=""):
-        self.n = n
-        self.ctx = ctx
-        self.g = g
-        self.h = h
-        self.k = n - g.degree
-        self.label = label
-        self._matrix = None
-        self._dual = None
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "k", n - g.degree)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "_matrix", None)
+        object.__setattr__(self, "_dual", None)
 
     def generator_matrix(self):
         """The canonical RREF [I_k | P], read off g without row reduction
@@ -173,7 +181,7 @@ class CyclicCode:
                 if top:
                     t = [add(a, mul(top, b)) for a, b in zip(t, feedback)]
             rows[:, k:] = block
-        self._matrix = GenMatrix(ctx, rows, n=self.n, canonical=True)
+        object.__setattr__(self, "_matrix", GenMatrix._of(ctx, rows))
         return self._matrix
 
     def to_dict(self):
@@ -195,7 +203,6 @@ def from_generator(g, n, label=""):
     Divides x^n - 1 by g to check g and find h; the builders and dual below
     know h already and do not come here.
     """
-    check_n(n)
     if g.is_zero or not g.is_monic:
         raise InvalidArgument("generator must be monic and nonzero")
     xn1 = Poly.x_n_minus_1(g.ctx, n)
@@ -263,7 +270,8 @@ def dual(c):
     """
     if c._dual is None:
         h = reciprocal(c.g).scale(c.ctx.neg(c.h.constant_term()))
-        c._dual = CyclicCode(c.n, c.ctx, reciprocal(c.h).monic(), h, label=c.label + "^perp")
+        d = CyclicCode(c.n, c.ctx, reciprocal(c.h).monic(), h, label=c.label + "^perp")
+        object.__setattr__(c, "_dual", d)
     return c._dual
 
 
@@ -325,7 +333,7 @@ def sum_codes(a, b):
     new_pivots = _pivot_columns(new)
     old = _clear(ctx, ma.rows, new_pivots, new.rows)
     order = np.argsort(np.concatenate([pivots, new_pivots]))
-    return GenMatrix(ctx, np.vstack([old, new.rows])[order], n=ma.n, canonical=True)
+    return GenMatrix._of(ctx, np.vstack([old, new.rows])[order])
 
 
 # -- exhaustive enumeration ----------------------------------------------------

@@ -12,11 +12,11 @@ that is not an int of at least 1 with the same message.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 from .errors import CycloError, InvalidArgument
-from .field import _int_mul, factorize, make_extension, nth_root_of_unity
+from .field import _int_mul, check_n, factorize, make_extension, nth_root_of_unity
 from .poly import Poly
 
 
@@ -30,21 +30,7 @@ class ArithmeticProfile:
     factorization: tuple
 
     def to_dict(self):
-        return {
-            "n": self.n,
-            "phi": self.phi,
-            "omega": self.omega,
-            "lpf": self.lpf,
-            "divisors": list(self.divisors),
-            "factorization": [list(pe) for pe in self.factorization],
-        }
-
-
-def check_n(n):
-    """The one rule for n, a length or an order: raise InvalidArgument unless
-    n is an int (not a bool) of at least 1."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise InvalidArgument(f"n must be an integer >= 1, got {n!r}")
+        return asdict(self)  # the tuples are JSON lists
 
 
 def profile(n):

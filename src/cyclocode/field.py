@@ -25,6 +25,18 @@ CONTEXT_LIMIT = 1 << 16
 ROOT_SEARCH_LIMIT = 1 << 24
 
 
+def check_n(n):
+    """The one rule for n, a length or an order: raise InvalidArgument unless
+    n is an int (not a bool) of at least 1."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise InvalidArgument(f"n must be an integer >= 1, got {n!r}")
+
+
+def _read_only(self, *args):
+    """__setattr__ and __delattr__ of the types whose values caches share."""
+    raise CycloError(f"{type(self).__name__} is read-only")
+
+
 def is_prime(n):
     """Whether n is prime, read off factorize; inputs are desk-scale."""
     return n > 1 and factorize(n) == [(n, 1)]
@@ -69,24 +81,26 @@ def _digits(v, p, l):
 
 class FieldCtx:
     """A concrete finite field F_{p^l}; immutable after construction."""
+    __setattr__ = __delattr__ = _read_only
 
     def __init__(self, p, l=1, modulus=None):
-        self.p = p
-        self.l = l
-        self.q = p ** l
+        _check_prime(p, l)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "q", p ** l)
         if l == 1:
-            self.modulus = None
+            object.__setattr__(self, "modulus", None)
         else:
             if modulus is None or len(modulus) != l + 1 or modulus[-1] != 1:
                 raise InvalidArgument("modulus must be monic of degree l")
-            self.modulus = tuple(c % p for c in modulus[:-1]) + (1,)
+            object.__setattr__(self, "modulus", tuple(c % p for c in modulus[:-1]) + (1,))
             if self.q > TABLE_LIMIT:
                 self._check_irreducible()
-        self._add_table = None
-        self._mul_table = None
-        self._add_array = None
-        self._mul_array = None
-        self._primitive = None
+        object.__setattr__(self, "_add_table", None)
+        object.__setattr__(self, "_mul_table", None)
+        object.__setattr__(self, "_add_array", None)
+        object.__setattr__(self, "_mul_array", None)
+        object.__setattr__(self, "_primitive", None)
         if self.q <= TABLE_LIMIT:
             self._build_tables()
 
@@ -151,10 +165,10 @@ class FieldCtx:
                 add += np.add.outer(digit, digit) % p * place
                 place *= p
         elem = np.min_scalar_type(q - 1)
-        self._add_array = add.astype(elem)
-        self._mul_array = mul.astype(elem)
-        self._add_table = _flat_list(self._add_array)
-        self._mul_table = _flat_list(self._mul_array)
+        object.__setattr__(self, "_add_array", add.astype(elem))
+        object.__setattr__(self, "_mul_array", mul.astype(elem))
+        object.__setattr__(self, "_add_table", _flat_list(self._add_array))
+        object.__setattr__(self, "_mul_table", _flat_list(self._mul_array))
 
     def _add_raw(self, a, b):
         if self.l == 1:
@@ -233,7 +247,7 @@ class FieldCtx:
             primes = [r for r, _ in factorize(e)] if e > 1 else []
             for a in range(1, self.q):
                 if self.pow(a, e) == 1 and all(self.pow(a, e // r) != 1 for r in primes):
-                    self._primitive = a
+                    object.__setattr__(self, "_primitive", a)
                     break
             else:
                 raise InvalidArgument(f"modulus {self.modulus} is not irreducible over F_{self.p}")
@@ -275,18 +289,19 @@ def _flat_list(table):
 
 class Extension:
     """A field F_{q^m} together with the embedding of a base field into it."""
+    __setattr__ = __delattr__ = _read_only
 
     def __init__(self, base, field, root):
-        self.base = base
-        self.field = field
-        self._root = root  # image of u; None if embed is the identity (prime base, m = 1)
-        self._table = None
-        self._inverse = None
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "_root", root)  # image of u; None if embed is the identity
+        object.__setattr__(self, "_table", None)
+        object.__setattr__(self, "_inverse", None)
 
     def _embed_table(self):
         if self._table is None:
             if self._root is None:
-                self._table = list(range(self.base.q))
+                object.__setattr__(self, "_table", list(range(self.base.q)))
             else:
                 big = self.field
                 powers = [1]
@@ -298,7 +313,7 @@ class Extension:
                     for d, rp in zip(self.base.decode(a), powers):
                         acc = big.add(acc, big.mul(d % self.base.p, rp))
                     table.append(acc)
-                self._table = table
+                object.__setattr__(self, "_table", table)
         return self._table
 
     def embed(self, a):
@@ -307,7 +322,8 @@ class Extension:
     def retract(self, b):
         """Inverse of embed; raises if b is outside the embedded base field."""
         if self._inverse is None:
-            self._inverse = {img: a for a, img in enumerate(self._embed_table())}
+            inverse = {img: a for a, img in enumerate(self._embed_table())}
+            object.__setattr__(self, "_inverse", inverse)
         try:
             return self._inverse[b]
         except KeyError:
@@ -323,6 +339,7 @@ def _canonical_modulus(p, d):
     """First monic irreducible of degree d over F_p in canonical order."""
     from .poly import Poly, is_irreducible
 
+    _check_prime(p, d)  # before F_p is built, so that the hint names F_(p^d)
     ctx = make_prime_field(p)
     for low in range(p ** d):
         f = Poly(ctx, _digits(low, p, d) + [1])
@@ -394,17 +411,23 @@ def _prime_power_hint(p, l):
     return f"; write F_{name} as {r}^{e * l}"
 
 
+def _check_prime(p, l):
+    """FieldCtx's check of p, bounded before the trial division; the hint names F_(p^l)."""
+    if p > ROOT_SEARCH_LIMIT:
+        raise InvalidArgument(f"characteristic {p} exceeds {ROOT_SEARCH_LIMIT}")
+    if not is_prime(p):
+        raise InvalidArgument(f"{p} is not prime{_prime_power_hint(p, l)}")
+
+
 def _checked_field(p, l):
     """F_(p^l) for a prime p and p^l <= CONTEXT_LIMIT; else InvalidArgument.
 
-    A large order is refused before the trial division, which a large prime
-    keeps busy for ever, and before p ** l, which a large l makes too long
-    to print. As p >= 2, any l > 16 already gives an order above 2^16."""
+    A large order is refused before FieldCtx's check of p, and before
+    p ** l, which a large l makes too long to print. As p >= 2, any l > 16
+    already gives an order above 2^16."""
     if p > 1 and (p > CONTEXT_LIMIT or l > 16 or p ** l > CONTEXT_LIMIT):
         order = p if l == 1 else f"{p}^{l}"
         raise InvalidArgument(f"field order {order} exceeds {CONTEXT_LIMIT}")
-    if not is_prime(p):
-        raise InvalidArgument(f"{p} is not prime{_prime_power_hint(p, l)}")
     return _extension_field(p, l)
 
 

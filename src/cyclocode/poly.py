@@ -8,7 +8,7 @@ schoolbook and exact -- lengths here stay in the hundreds.
 from operator import index
 
 from .errors import InvalidArgument
-from .field import _int_mul, factorize
+from .field import _int_mul, _read_only, check_n, factorize
 
 
 def _stripped(cs):
@@ -20,6 +20,7 @@ def _stripped(cs):
 
 class Poly:
     __slots__ = ("ctx", "coeffs")
+    __setattr__ = __delattr__ = _read_only
 
     def __init__(self, ctx, coeffs):
         # normalize: integers only (Python or numpy, not bool, which index()
@@ -33,14 +34,16 @@ class Poly:
             raise InvalidArgument(f"coefficients over {ctx!r} must be integers")
         if ctx.l > 1 and cs and (min(cs) < 0 or max(cs) >= ctx.q):
             raise InvalidArgument(f"coefficients {cs} are not all in {ctx!r}")
-        self.ctx, self.coeffs = ctx, _stripped(cs)
+        _set_ctx(self, ctx)
+        _set_coeffs(self, _stripped(cs))
 
     @classmethod
     def _of(cls, ctx, cs):
         """The polynomial of a list of elements of ctx that the arithmetic
         here computed, so it skips __init__'s checks."""
         f = cls.__new__(cls)
-        f.ctx, f.coeffs = ctx, _stripped(cs)
+        _set_ctx(f, ctx)
+        _set_coeffs(f, _stripped(cs))
         return f
 
     # -- constructors ------------------------------------------------------
@@ -55,6 +58,7 @@ class Poly:
 
     @classmethod
     def x_n_minus_1(cls, ctx, n):
+        check_n(n)
         return cls(ctx, [ctx.neg(1)] + [0] * (n - 1) + [1])
 
     # -- basic structure ----------------------------------------------------
@@ -88,6 +92,10 @@ class Poly:
 
     def __hash__(self):
         return hash((self.ctx, self.coeffs))
+
+    def __reduce__(self):
+        # copy and pickle would set the slots, which __setattr__ refuses
+        return Poly, (self.ctx, self.coeffs)
 
     def __repr__(self):
         return f"Poly({self.ctx!r}, {list(self.coeffs)})"
@@ -193,6 +201,9 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = ctx.add(ctx.mul(acc, a), c)
         return acc
+
+
+_set_ctx, _set_coeffs = Poly.ctx.__set__, Poly.coeffs.__set__
 
 
 def reciprocal(f):

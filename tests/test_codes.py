@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import re
 from unittest import mock
@@ -336,6 +338,60 @@ def test_builders_share_one_code_with_one_matrix_and_one_dual():
     assert build_Cn(15, F2) is not build_Cn(15, parse_field("2^2"))
 
 
+# (type, how to get a shared value, a public and a private attribute); Poly
+# and GenMatrix have no private attribute, so a new name stands in for one
+_SHARED_VALUES = [
+    pytest.param(kind, shared, public, hidden, id=kind)
+    for kind, shared, public, hidden in [
+        ("FieldCtx", lambda: parse_field("2^3"), "q", "_primitive"),
+        ("Extension", lambda: make_extension(F2, 4), "field", "_table"),
+        ("Poly", lambda: build_Cn(15, F2).g, "coeffs", "_memo"),
+        ("GenMatrix", lambda: build_Cn(15, F2).generator_matrix(), "canonical", "_memo"),
+        ("CyclicCode", lambda: build_Cn(15, F2), "label", "_dual"),
+    ]
+]
+
+
+@pytest.mark.parametrize("private", [False, True], ids=["public", "private"])
+@pytest.mark.parametrize("kind,shared,public,hidden", _SHARED_VALUES)
+def test_shared_values_refuse_every_write(kind, shared, public, hidden, private):
+    value = shared()
+    name = hidden if private else public
+    before = getattr(value, name, None)
+    with pytest.raises(CycloError, match=f"^{kind} is read-only$"):
+        setattr(value, name, "mine")
+    with pytest.raises(CycloError, match=f"^{kind} is read-only$"):
+        delattr(value, name)
+    assert shared() is value and getattr(value, name, None) is before
+
+
+@pytest.mark.parametrize("kind,shared,public,hidden", _SHARED_VALUES)
+def test_shared_values_still_copy_and_pickle(kind, shared, public, hidden):
+    value = shared()
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value)
+        assert repr(getattr(twin, public)) == repr(getattr(value, public))
+        with pytest.raises(CycloError, match="read-only"):
+            setattr(twin, public, None)
+
+
+def test_copies_of_a_matrix_keep_read_only_rows():
+    # a deep copy or pickle of a canonical matrix once had writeable rows, so
+    # rows written into it kept the mark and min_distance trusted them
+    for m in (build_Cn(15, F2).generator_matrix(), GenMatrix(F2, [[1, 1, 0], [1, 0, 1]])):
+        for twin in (copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+            assert twin.canonical == m.canonical and twin.rows.tolist() == m.rows.tolist()
+            with pytest.raises(ValueError, match="read-only"):
+                twin.rows[0, 0] = 0
+
+
+def test_genmatrix_takes_no_claim_of_rref():
+    rows = [[1, 0, 1], [0, 1, 1]]  # in RREF, but only codes.py may mark a matrix so
+    with pytest.raises(TypeError, match="canonical"):
+        GenMatrix(F2, rows, canonical=True)
+    assert not GenMatrix(F2, rows).canonical and GenMatrix(F2, rows).rref().canonical
+
+
 def test_code_lengths_go_through_the_one_n_rule():
     c7, r1 = build_Cn(7, F2), build_repetition(1, F2)
     for call in (
@@ -601,6 +657,15 @@ def test_min_distance_floor_matches_naive_oracle(case):
     m = GenMatrix(parse_field(literal), rows)
     with mock.patch.object(codes, "_LOW_TABLE", table):
         assert min_distance(m).d == naive_min_distance(m)
+
+
+def test_a_matrix_that_cannot_be_marked_canonical_keeps_its_distance():
+    # rank 2 and not in RREF: marked canonical, it was returned unreduced by
+    # rref and its third row, the sum of the first two, walked to d = 0
+    m = GenMatrix(F2, [[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    with pytest.raises(CycloError, match="read-only"):
+        m.canonical = True
+    assert min_distance(m).d == naive_min_distance(m) == 2
 
 
 @settings(max_examples=60, deadline=None)

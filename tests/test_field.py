@@ -196,6 +196,26 @@ def test_make_prime_field_refuses_large_p_before_the_primality_test(p):
     assert str(exc.value) == f"field order {p} exceeds 65536"
 
 
+@pytest.mark.parametrize("p,message", [
+    (1024, "1024 is not prime; write F_1024 as 2^10"),
+    (1025, "1025 is not prime"),
+    (4, "4 is not prime; write F_4 as 2^2"),
+])
+def test_field_ctx_refuses_a_p_that_is_not_prime(p, message):
+    # 1024 and 1025 once built the rings Z/1024 and Z/1025, and 4 failed
+    # later, in the search for a primitive element
+    with pytest.raises(InvalidArgument) as exc:
+        FieldCtx(p)
+    assert str(exc.value) == message
+
+
+def test_field_ctx_refuses_a_large_p_before_the_primality_test():
+    with mock.patch("cyclocode.field.is_prime", side_effect=AssertionError("is_prime ran")):
+        with pytest.raises(InvalidArgument) as exc:
+            FieldCtx(2 ** 61 - 1)
+    assert str(exc.value) == f"characteristic {2 ** 61 - 1} exceeds 16777216"
+
+
 def test_is_prime_agrees_with_a_sieve():
     limit = 5000
     sieve = [False, False] + [True] * (limit - 2)

@@ -27,6 +27,13 @@ def test_divmod_examples():
     assert r.is_zero
 
 
+@pytest.mark.parametrize("n", [0, -3, 7.5, True])
+def test_x_n_minus_1_goes_through_the_one_n_rule(n):
+    # 0, -3 and True once gave x + 1, and 7.5 a TypeError
+    with pytest.raises(InvalidArgument, match="n must be an integer >= 1"):
+        Poly.x_n_minus_1(F2, n)
+
+
 def test_divmod_by_zero():
     with pytest.raises(InvalidArgument, match="division by zero"):
         divmod(Poly(F5, [1, 1]), Poly(F5, []))

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import time
 
@@ -96,6 +97,43 @@ def test_sweep_algebra_grid_runs_one_lfsr_per_distinct_code(monkeypatch):
     records = sweep(SweepConfig(n_range=(2, 56), theorems=theorems, budget=1))
     assert len(runs) == 473
     assert not [r for r in records if r.status == "fail"]
+
+
+def test_codes_shared_over_the_sweep_algebra_grid_equal_fresh_builds(monkeypatch):
+    """Every code built during a sweep of the grid of
+    perfbench/configs/sweep-algebra.json, each written to by a caller as it
+    is handed out, equals a fresh build with the caches cleared."""
+    builders = {"C_n": codes.build_Cn, "C_{n,1}": codes.build_Cn1, "R_n": codes.build_repetition}
+    for build in builders.values():
+        build.cache_clear()
+    built, init = [], codes.CyclicCode.__init__
+
+    def tampered(code, n, ctx, g, h, label=""):
+        init(code, n, ctx, g, h, label=label)
+        built.append((code, label))
+        for name, value in (("label", "mine"), ("_dual", code)):
+            with contextlib.suppress(CycloError):
+                setattr(code, name, value)
+
+    monkeypatch.setattr(codes.CyclicCode, "__init__", tampered)
+    theorems = ["FACTORIZATION", "CN1-DUAL-SUM", "TENSOR-EQUIV"]
+    sweep(SweepConfig(n_range=(2, 56), theorems=theorems, budget=1))
+    monkeypatch.undo()
+    for build in builders.values():
+        build.cache_clear()
+
+    def same(a, b):
+        assert (a.g, a.h, a.k, a.label) == (b.g, b.h, b.k, b.label)
+        assert a.generator_matrix().rows.tolist() == b.generator_matrix().rows.tolist()
+
+    for code, label in built:
+        base, perp = label.partition("^perp")[:2]
+        fresh = builders[base](code.n, code.ctx)
+        fresh = codes.dual(fresh) if perp else fresh
+        assert fresh is not code
+        same(code, fresh)
+        same(codes.dual(code), codes.dual(fresh))
+    assert len(built) > 473  # the 473 distinct codes and the duals built
 
 
 @pytest.mark.parametrize(
