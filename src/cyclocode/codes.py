@@ -16,9 +16,11 @@ read-only, so no holder of a shared one can change it, and only the RREFs
 made here are marked canonical.  sum_codes extends one RREF basis by the
 other code's rows instead of row-reducing the two stacked.  Minimum
 distances and weight distributions come from one meet-in-the-middle
-enumeration over the prime subfield, the same for every field: a table of
+enumeration over the prime subfield, one walk for every field: a table of
 all combinations of the first rows, walked by an odometer over the
-remaining rows, within a budget that check_budget validates.  A GenMatrix
+remaining rows, within a budget that check_budget validates.  The walk's
+rows are packed bit planes over characteristic 2, added by XOR and weighed
+by popcount, and digits over odd characteristic.  A GenMatrix
 refuses any entry that is not an element of its field.
 """
 
@@ -30,7 +32,7 @@ import numpy as np
 
 from .cyclotomic import cosets, cyclotomic_cofactor, cyclotomic_poly, multiplicative_order_mod
 from .errors import BudgetExceeded, CycloError, InvalidArgument
-from .field import _read_only, check_n, is_prime, make_extension, nth_root_of_unity
+from .field import _read_only, check_n, is_int, is_prime, make_extension, nth_root_of_unity
 from .poly import Poly, reciprocal
 
 DEFAULT_BUDGET = 1 << 24
@@ -354,40 +356,79 @@ def _prime_field_expansion(m):
     return out.astype(np.min_scalar_type(2 * (p - 1)))
 
 
+def _symbol_layout(m):
+    """The prime-field expansion of m in the layout that _weights walks,
+    with the add of two rows and the weights of a table's columns.
+
+    Over p = 2 each row is l bit planes, plane t holding digit t of the n
+    symbols as n bits packed little-endian into W = ceil(n / 64) uint64 words
+    whose padding bits are 0.  A sum is an XOR, and a symbol is nonzero where
+    the OR of its planes has a 1, so a column's weight is the popcount of
+    that OR summed over the words.  Over odd p a row stays n * l digits: a
+    sum is a digit add mod p, and a symbol of t - s is zero exactly where t
+    and s have the same digits.
+    """
+    p, l, n = m.ctx.p, m.ctx.l, m.n
+    rows = _prime_field_expansion(m)
+    count = np.min_scalar_type(n)
+    if p == 2:
+        planes = rows.reshape(len(rows), n, l).transpose(0, 2, 1)
+        packed = np.zeros((len(rows), l, 8 * -(-n // 64)), dtype=np.uint8)
+        packed[..., : -(-n // 8)] = np.packbits(planes, axis=-1, bitorder="little")
+
+        def weigh(table, prefix):
+            sums = table ^ prefix[..., None]
+            union = sums[0]  # ORed in place: no array per plane
+            for plane in sums[1:]:
+                union |= plane
+            words = np.bitwise_count(union)
+            # n <= 64: one word, whose popcounts are the weights already
+            return words[0] if len(words) == 1 else words.sum(axis=0, dtype=count)
+
+        return packed.view(np.uint64), np.bitwise_xor, weigh
+
+    def add(a, b):
+        return (a + b) % p
+
+    def weigh(table, prefix):
+        differs = table != prefix[..., None]
+        return differs.reshape(n, l, -1).any(axis=1).sum(axis=0, dtype=count)
+
+    return rows, add, weigh
+
+
 def _weights(m, include_zero):
     """Yield numpy arrays of codeword weights, one per step, over all messages.
 
     Enumerates the message space over the prime subfield (same codeword set
     as enumerating F_q^k); weights count nonzero F_q symbols.  The table has
     one column per combination t of the leading rows; an odometer walks the
-    combinations s of the others, so t - s meets every codeword once.  A
-    symbol of t - s is zero exactly where t and s have the same digits, so a
-    step is one comparison of the table with s.
+    combinations s of the others, so t - s meets every codeword once, and a
+    step weighs every column of the table against s.  One walk serves every
+    field; _symbol_layout holds the rows as packed bit planes over p = 2 and
+    as digits otherwise.
     """
-    p, l, n = m.ctx.p, m.ctx.l, m.n
-    rows = _prime_field_expansion(m)
+    p = m.ctx.p
+    rows, add, weigh = _symbol_layout(m)
     split = 1  # one row even if p > _LOW_TABLE: step 0 needs a nonzero message
     while split < len(rows) and p ** (split + 1) <= _LOW_TABLE:
         split += 1
-    table = np.zeros((rows.shape[1], 1), dtype=rows.dtype)
+    table = np.zeros(rows.shape[1:] + (1,), dtype=rows.dtype)
     for row in rows[:split]:
         blocks = [table]
         for _ in range(p - 1):
-            blocks.append((blocks[-1] + row[:, None]) % p)
-        table = np.concatenate(blocks, axis=1)
+            blocks.append(add(blocks[-1], row[..., None]))
+        table = np.concatenate(blocks, axis=-1)
     high = rows[split:]
     digits = [0] * len(high)
-    prefix = np.zeros(rows.shape[1], dtype=rows.dtype)
-    count_dtype = np.min_scalar_type(n)
+    prefix = np.zeros(rows.shape[1:], dtype=rows.dtype)
     while True:
-        differs = table != prefix[:, None]
-        symbols = differs.reshape(n, l, table.shape[1]).any(axis=1)
-        weights = symbols.sum(axis=0, dtype=count_dtype)
+        weights = weigh(table, prefix)
         if not include_zero and not any(digits):
             weights = weights[1:]  # column 0 with s = 0 is the zero message
         yield weights
         for i, row in enumerate(high):
-            prefix = (prefix + row) % p
+            prefix = add(prefix, row)
             digits[i] = (digits[i] + 1) % p
             if digits[i]:
                 break
@@ -398,7 +439,7 @@ def _weights(m, include_zero):
 def check_budget(budget, name="budget"):
     """Raise InvalidArgument unless budget is an int (not a bool) in
     [1, MAX_BUDGET]; the messages call it name."""
-    if not isinstance(budget, int) or isinstance(budget, bool):
+    if not is_int(budget):
         raise InvalidArgument(f"{name} must be an integer, got {budget!r}")
     if budget < 1:
         raise InvalidArgument(f"{name} must be >= 1, got {budget}")

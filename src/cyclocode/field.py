@@ -25,10 +25,15 @@ CONTEXT_LIMIT = 1 << 16
 ROOT_SEARCH_LIMIT = 1 << 24
 
 
+def is_int(v):
+    """The package's integer rule: an int, and not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def check_n(n):
     """The one rule for n, a length or an order: raise InvalidArgument unless
     n is an int (not a bool) of at least 1."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if not is_int(n) or n < 1:
         raise InvalidArgument(f"n must be an integer >= 1, got {n!r}")
 
 
@@ -411,8 +416,18 @@ def _prime_power_hint(p, l):
     return f"; write F_{name} as {r}^{e * l}"
 
 
+def _check_ints(p, l):
+    """Refuse a p or l that is not an integer, before any comparison or
+    primality test sees it (is_prime(2.0) is True), and an l below 1."""
+    if not (is_int(p) and is_int(l)):
+        raise InvalidArgument(f"p and l must be integers, got p = {p!r}, l = {l!r}")
+    if l < 1:
+        raise InvalidArgument(f"l must be >= 1, got {l}")
+
+
 def _check_prime(p, l):
     """FieldCtx's check of p, bounded before the trial division; the hint names F_(p^l)."""
+    _check_ints(p, l)
     if p > ROOT_SEARCH_LIMIT:
         raise InvalidArgument(f"characteristic {p} exceeds {ROOT_SEARCH_LIMIT}")
     if not is_prime(p):
@@ -424,7 +439,9 @@ def _checked_field(p, l):
 
     A large order is refused before FieldCtx's check of p, and before
     p ** l, which a large l makes too long to print. As p >= 2, any l > 16
-    already gives an order above 2^16."""
+    already gives an order above 2^16. A float p is refused before the
+    shared fields are looked up, where 2.0 would find F_2."""
+    _check_ints(p, l)
     if p > 1 and (p > CONTEXT_LIMIT or l > 16 or p ** l > CONTEXT_LIMIT):
         order = p if l == 1 else f"{p}^{l}"
         raise InvalidArgument(f"field order {order} exceeds {CONTEXT_LIMIT}")

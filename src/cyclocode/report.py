@@ -4,16 +4,10 @@ import csv
 import json
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from itertools import islice
 
 from .errors import CycloError
 
 FORMATS = ("csv", "json")
-
-# JSON tokens joined per write: json.dump writes each token on its own (about
-# 60,000 writes for 1,155 records), and json.dumps holds them all at once
-# (about 2.6 MB for those records) before its one write.
-_JSON_BLOCK = 4096
 
 CSV_COLUMNS = [
     "theorem_id",
@@ -77,6 +71,40 @@ class VerificationRecord:
         return ["" if v is None else v for v in flat] + [f"{self.elapsed:.3f}"]
 
 
+# One record as json.dumps(records, indent=2) writes it, with to_dict's keys;
+# _json_record fills in the values in that order.
+_JSON_RECORD = "  {{\n" + ",\n".join(
+    f'    "{key}": {{}}' for key in VerificationRecord("", 0).to_dict()
+) + "\n  }}"
+
+
+def _json_value(v):
+    """v as json writes it: None and ints directly, anything else through
+    json.dumps, which escapes strings to ASCII in C."""
+    if v is None:
+        return "null"
+    if type(v) is int:
+        return str(v)
+    return json.dumps(v)
+
+
+def _json_list(values):
+    """A list inside a record, one item a line."""
+    if not values:
+        return "[]"
+    return "[\n      " + ",\n      ".join(map(_json_value, values)) + "\n    ]"
+
+
+def _json_record(r):
+    """r.to_dict() as json.dumps(..., indent=2) writes it inside a list; the
+    elapsed time goes through repr, as json writes a float."""
+    return _JSON_RECORD.format(
+        *map(_json_value, (r.theorem_id, r.q, r.n, r.n1, r.n2)),
+        _json_list(r.claimed), _json_list(r.measured), _json_value(r.status),
+        repr(round(r.elapsed, 3)), _json_value(r.note),
+    )
+
+
 def zero_elapsed(records):
     """Copies of records with their elapsed times zeroed."""
     return [replace(r, elapsed=0.0) for r in records]
@@ -97,10 +125,12 @@ def emit_report(records, fmt, path):
                 writer.writerow(CSV_COLUMNS)
                 writer.writerows(r.to_csv_row() for r in records)
             else:
-                chunks = json.JSONEncoder(indent=2).iterencode([r.to_dict() for r in records])
-                while block := "".join(islice(chunks, _JSON_BLOCK)):
-                    fh.write(block)
-                fh.write("\n")
+                # one write per record: the report is never held whole
+                sep = "[\n"
+                for r in records:
+                    fh.write(sep + _json_record(r))
+                    sep = ",\n"
+                fh.write("[]\n" if sep == "[\n" else "\n]\n")
     except OSError as exc:
         raise CycloError(str(exc)) from exc
     return path

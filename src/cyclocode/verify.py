@@ -16,17 +16,13 @@ from functools import lru_cache
 from . import codes, tensor
 from .cyclotomic import profile, verify_factorization
 from .errors import BudgetExceeded, ConfigInvalid, CycloError, InvalidArgument
-from .field import is_prime, parse_field
+from .field import is_int, is_prime, parse_field
 from .report import FORMATS, THEOREM_IDS, VerificationRecord
 
 DEFAULT_FIELDS = ["2", "3", "2^2", "5", "7", "2^3", "3^2"]
 DEFAULT_THEOREMS = [t for t in THEOREM_IDS if t != "CONJECTURE-CN1-DUAL"]
 # C_{n,1} is the zero code at prime n.
 _COMPOSITE_ONLY = ("CN1-DIST", "CN1-DUAL-SUM", "CONJECTURE-CN1-DUAL")
-
-
-def _is_int(v):
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _is_str(v):
@@ -39,9 +35,9 @@ def _list_of(ok):
 
 # Each config key, the test its value must pass, and what that value must be.
 _CONFIG_TYPES = {
-    "fields": (_list_of(lambda f: _is_str(f) or _is_int(f)), "a list of fields"),
-    "n_range": (lambda v: _list_of(_is_int)(v) and len(v) == 2, "two integers"),
-    "budget": (_is_int, "an integer"),
+    "fields": (_list_of(lambda f: _is_str(f) or is_int(f)), "a list of fields"),
+    "n_range": (lambda v: _list_of(is_int)(v) and len(v) == 2, "two integers"),
+    "budget": (is_int, "an integer"),
     "output": (lambda v: v is None or _is_str(v), "a path"),
     "format": (_is_str, "a string"),
     "theorems": (_list_of(_is_str), "a list of theorem ids"),

@@ -109,7 +109,8 @@ def all_codewords(obj):
         for coef, row in zip(msg, rows):
             if coef:
                 for j, c in enumerate(row):
-                    word[j] = ctx.add(word[j], ctx.mul(coef, c))
+                    if c:  # a zero entry adds nothing: sparse rows over F_{2^10} stay cheap
+                        word[j] = ctx.add(word[j], ctx.mul(coef, c))
         yield word
 
 

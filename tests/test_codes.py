@@ -668,14 +668,90 @@ def test_a_matrix_that_cannot_be_marked_canonical_keeps_its_distance():
     assert min_distance(m).d == naive_min_distance(m) == 2
 
 
-@settings(max_examples=60, deadline=None)
+# F_{2^8} walks packed bit planes eight to a symbol.
+@settings(max_examples=100, deadline=None)
 @given(
-    _any_divisor_codes(["2", "3", "2^2", "3^2"]).filter(lambda c: 1 < c.ctx.q ** c.k <= 1 << 10),
+    _any_divisor_codes(["2", "3", "2^2", "3^2", "2^8"]).filter(lambda c: 1 < c.ctx.q ** c.k <= 1 << 10),
     st.data(),
 )
 def test_min_distance_of_divisor_codes_matches_naive_oracle(c, data):
     with mock.patch.object(codes, "_LOW_TABLE", data.draw(_table_sizes(c.ctx))):
         assert min_distance(c).d == naive_min_distance(c)
+        assert weight_distribution(c) == naive_weight_distribution(c)
+
+
+def _systematic(p_part):
+    """The rows of [I_k | P], given the k rows of P."""
+    k = len(p_part)
+    return [[int(i == j) for j in range(k)] + list(row) for i, row in enumerate(p_part)]
+
+
+@st.composite
+def _systematic_bases(draw):
+    """(field, rows, table size): a full-rank [I_k | P] over a field of
+    characteristic 2 whose length is on either side of a 64-bit word of the
+    packed walk.  Over the no-table F_{2^10} the oracle's scalar products are
+    slow, so P has a few nonzero entries there."""
+    literal = draw(st.sampled_from(["2", "2^2", "2^3", "2^10"]))
+    ctx = parse_field(literal)
+    n = draw(st.sampled_from([63, 64, 65, 127, 128, 129]))
+    k = draw(st.integers(1, {2: 6, 4: 3, 8: 2, 1024: 1}[ctx.q]))
+    if ctx.q > 64:
+        cells = draw(st.dictionaries(st.integers(0, n - k - 1), st.integers(1, ctx.q - 1), max_size=6))
+        p_part = [[cells.get(j, 0) for j in range(n - k)]]
+    else:
+        entry = st.integers(0, ctx.q - 1)
+        p_part = draw(st.lists(st.lists(entry, min_size=n - k, max_size=n - k), min_size=k, max_size=k))
+    return literal, _systematic(p_part), draw(_table_sizes(ctx))
+
+
+def _ones_at(literal, n, k, columns, value=1):
+    """[I_k | P] with value in the given columns of every row, 0 elsewhere."""
+    return literal, _systematic([[value * (j in columns) for j in range(k, n)]] * k), 2
+
+
+# Each example puts nonzero symbols on both sides of a word boundary; over
+# F_4 and F_8, symbol 3 has both low digit planes set.
+@settings(max_examples=60, deadline=None)
+@given(_systematic_bases())
+@example(_ones_at("2", 63, 3, {61, 62}))
+@example(_ones_at("2", 65, 4, {63, 64}))
+@example(_ones_at("2^2", 65, 2, {5, 63, 64}, value=3))
+@example(_ones_at("2^3", 129, 2, {64, 127, 128}, value=3))
+@example(("2^10", [[1] + [0] * 61 + [515, 0, 1023]], 2))
+def test_packed_walk_matches_naive_oracle_across_word_boundaries(case):
+    literal, rows, table = case
+    m = GenMatrix(parse_field(literal), rows)
+    with mock.patch.object(codes, "_LOW_TABLE", table):
+        assert min_distance(m).d == naive_min_distance(m)
+        assert weight_distribution(m) == naive_weight_distribution(m)
+
+
+@st.composite
+def _systematic_pairs(draw):
+    """(field, [I_k | P], [I_(n-k) | P^T], table size) over F_2 or F_4.  The
+    second is the dual [-P^T | I_(n-k)] with its two blocks swapped, as
+    -P^T = P^T and weights do not see the order of the columns; both codes
+    have at most 2^12 codewords."""
+    literal = draw(st.sampled_from(["2", "2^2"]))
+    ctx = parse_field(literal)
+    half = {2: 12, 4: 6}[ctx.q]
+    n = draw(st.integers(2, 2 * half))
+    k = draw(st.integers(max(1, n - half), min(n - 1, half)))
+    entry = st.integers(0, ctx.q - 1)
+    p_part = draw(st.lists(st.lists(entry, min_size=n - k, max_size=n - k), min_size=k, max_size=k))
+    return literal, _systematic(p_part), _systematic(list(zip(*p_part))), draw(_table_sizes(ctx))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_systematic_pairs())
+def test_packed_walk_histograms_obey_macwilliams(case):
+    literal, code, dual_rows, table = case
+    ctx = parse_field(literal)
+    with mock.patch.object(codes, "_LOW_TABLE", table):
+        a = weight_distribution(GenMatrix(ctx, code))
+        b = weight_distribution(GenMatrix(ctx, dual_rows))
+    assert macwilliams(a, ctx.q) == b
 
 
 def _check_generator_matrix(c):

@@ -216,6 +216,30 @@ def test_field_ctx_refuses_a_large_p_before_the_primality_test():
     assert str(exc.value) == f"characteristic {2 ** 61 - 1} exceeds 16777216"
 
 
+@pytest.mark.parametrize("args", [(2.0,), (2.5,), ("2",), (True,), (2, 2.0, (1, 1, 1)), (2, True)])
+def test_field_ctx_refuses_a_p_or_l_that_is_not_an_integer(args):
+    # is_prime(2.0) is True, so 2.0 reached the table build and its TypeError
+    p, l = (args + (1,))[:2]
+    with pytest.raises(InvalidArgument) as exc:
+        FieldCtx(*args)
+    assert str(exc.value) == f"p and l must be integers, got p = {p!r}, l = {l!r}"
+
+
+@pytest.mark.parametrize("l,modulus", [(0, (1,)), (-1, ())])
+def test_field_ctx_refuses_an_l_below_1(l, modulus):
+    # l = -1 once ended in an IndexError from the modulus check
+    with pytest.raises(InvalidArgument) as exc:
+        FieldCtx(2, l, modulus)
+    assert str(exc.value) == f"l must be >= 1, got {l}"
+
+
+@pytest.mark.parametrize("p", [2.0, 2.5, "2"])
+def test_make_prime_field_refuses_a_p_that_is_not_an_integer(p):
+    make_prime_field(2)  # 2.0 == 2, so a float once found this shared F_2
+    with pytest.raises(InvalidArgument, match="^p and l must be integers"):
+        make_prime_field(p)
+
+
 def test_is_prime_agrees_with_a_sieve():
     limit = 5000
     sieve = [False, False] + [True] * (limit - 2)

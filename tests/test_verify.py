@@ -1,9 +1,11 @@
 import contextlib
+import io
 import json
 import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cyclocode import codes
 from cyclocode.cli import main as cli_main
@@ -252,13 +254,32 @@ def test_emit_report_json_round_trip(tmp_path):
 
 
 def test_emit_report_json_is_json_dumps_indented(tmp_path):
-    """The JSON report is written in blocks of tokens, with json.dump's bytes."""
+    """The JSON report is written from a template, with json.dumps's bytes."""
     path = tmp_path / "out.json"
-    records = zero_elapsed(sweep(SweepConfig(fields=["2", "3"], n_range=(2, 40))))
-    assert len(records) > 100  # about 50 tokens a record: several blocks
-    for rows in (records, []):
+    records = sweep(SweepConfig(fields=["2", "3"], n_range=(2, 40)))
+    assert len(records) > 100
+    for rows in (records, zero_elapsed(records), []):
         emit_report(rows, "json", str(path))
         assert path.read_text() == json.dumps([r.to_dict() for r in rows], indent=2) + "\n"
+
+
+_maybe_int = st.one_of(st.none(), st.integers(-(2 ** 70), 2 ** 70))
+_records = st.builds(
+    VerificationRecord,
+    theorem_id=st.text(), q=st.integers(2, 2 ** 16), n=_maybe_int, n1=_maybe_int, n2=_maybe_int,
+    claimed=st.lists(_maybe_int, max_size=4).map(tuple),
+    measured=st.lists(_maybe_int, max_size=4).map(tuple),
+    status=st.text(), elapsed=st.floats(allow_nan=False, allow_infinity=False), note=st.text(),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_records, max_size=4))
+@example([VerificationRecord("CN-DIST", 2, 7, note='\u00e9 "quoted" back\\slash\ttab', elapsed=1 / 3)])
+def test_emit_report_json_matches_json_dumps_on_any_record(records):
+    out = io.StringIO()
+    emit_report(records, "json", out)
+    assert out.getvalue() == json.dumps([r.to_dict() for r in records], indent=2) + "\n"
 
 
 def test_emit_report_refusals(tmp_path):
