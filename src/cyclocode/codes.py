@@ -4,7 +4,9 @@ A cyclic code keeps its generator g and check polynomial h = (x^n - 1) / g.
 The builders take h from exact identities, never by dividing x^n - 1: C_n
 and C_{n,1} from the integer cofactor of Q_n in cyclotomic.py, R_n as x - 1,
 and a dual as -h(0) g* from the code it dualises.  Only from_generator, for
-a g the caller supplies, divides, to check that g | x^n - 1.
+a g the caller supplies, divides, to check that g | x^n - 1.  The public
+CyclicCode constructor checks g h = x^n - 1 by one product, which the codes
+made here skip through CyclicCode._of.
 
 Matrices hold field-element encodings in int64 numpy arrays; row reduction
 acts on whole rows through the field's add/mul tables, for prime and
@@ -143,8 +145,26 @@ class DistanceReport:
 
 class CyclicCode:
     """A cyclic code of length n given by a monic generator g dividing
-    x^n - 1, with its check polynomial h = (x^n - 1) / g."""
+    x^n - 1, with its check polynomial h = (x^n - 1) / g.  The constructor
+    refuses a g that is not monic and any g h other than x^n - 1."""
     __setattr__ = __delattr__ = _read_only
+
+    def __new__(cls, n, ctx, g, h, label=""):
+        check_n(n)
+        if not (isinstance(g, Poly) and g.is_monic):
+            raise InvalidArgument("generator must be a monic polynomial")
+        if not (isinstance(h, Poly) and g * h == Poly.x_n_minus_1(ctx, n)):
+            raise InvalidArgument(f"g h is not x^{n} - 1 over {ctx!r}")
+        return super().__new__(cls)
+
+    @classmethod
+    def _of(cls, n, ctx, g, h, label=""):
+        """The code of a monic g and an h with g h = x^n - 1 that the
+        builders, dual and from_generator hold exactly, so it skips the
+        product that __new__ checks."""
+        c = object.__new__(cls)
+        c.__init__(n, ctx, g, h, label)
+        return c
 
     def __init__(self, n, ctx, g, h, label=""):
         object.__setattr__(self, "n", n)
@@ -155,6 +175,10 @@ class CyclicCode:
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "_matrix", None)
         object.__setattr__(self, "_dual", None)
+
+    def __reduce__(self):
+        # copy and pickle rebuild a code from the exact g and h it holds
+        return CyclicCode._of, (self.n, self.ctx, self.g, self.h, self.label)
 
     def generator_matrix(self):
         """The canonical RREF [I_k | P], read off g without row reduction
@@ -211,7 +235,7 @@ def from_generator(g, n, label=""):
     h, r = divmod(xn1, g)
     if not r.is_zero:
         raise InvalidArgument(f"generator does not divide x^{n} - 1")
-    return CyclicCode(n, g.ctx, g, h, label=label)
+    return CyclicCode._of(n, g.ctx, g, h, label=label)
 
 
 # Each builder shares one code per (n, field), with its matrix and dual, among
@@ -228,7 +252,7 @@ def build_Cn(n, ctx):
     """
     if n <= 1:
         raise InvalidArgument(f"build_Cn needs n > 1, got {n}")
-    return CyclicCode(
+    return CyclicCode._of(
         n, ctx, cyclotomic_poly(n, ctx), cyclotomic_cofactor(n, ctx), label="C_n"
     )
 
@@ -247,7 +271,7 @@ def build_Cn1(n, ctx):
         raise InvalidArgument(f"n = {n} is prime, the code would be the zero code")
     g = cyclotomic_poly(n, ctx) * cyclotomic_poly(1, ctx)
     h = cyclotomic_cofactor(n, ctx, without_q1=True)
-    return CyclicCode(n, ctx, g, h, label="C_{n,1}")
+    return CyclicCode._of(n, ctx, g, h, label="C_{n,1}")
 
 
 @lru_cache(maxsize=32, typed=True)
@@ -258,7 +282,7 @@ def build_repetition(n, ctx):
         raise InvalidArgument(f"repetition code needs n >= 1, got {n}")
     check_n(n)
     g = Poly(ctx, [1] * n)
-    return CyclicCode(n, ctx, g, Poly.x_n_minus_1(ctx, 1), label="R_n")
+    return CyclicCode._of(n, ctx, g, Poly.x_n_minus_1(ctx, 1), label="R_n")
 
 
 def dual(c):
@@ -272,7 +296,7 @@ def dual(c):
     """
     if c._dual is None:
         h = reciprocal(c.g).scale(c.ctx.neg(c.h.constant_term()))
-        d = CyclicCode(c.n, c.ctx, reciprocal(c.h).monic(), h, label=c.label + "^perp")
+        d = CyclicCode._of(c.n, c.ctx, reciprocal(c.h).monic(), h, label=c.label + "^perp")
         object.__setattr__(c, "_dual", d)
     return c._dual
 
@@ -397,8 +421,9 @@ def _symbol_layout(m):
     return rows, add, weigh
 
 
-def _weights(m, include_zero):
-    """Yield numpy arrays of codeword weights, one per step, over all messages.
+def _weights(m):
+    """Yield numpy arrays of codeword weights, one per step, over all nonzero
+    messages: the zero message, column 0 of the first step, is skipped.
 
     Enumerates the message space over the prime subfield (same codeword set
     as enumerating F_q^k); weights count nonzero F_q symbols.  The table has
@@ -422,11 +447,10 @@ def _weights(m, include_zero):
     high = rows[split:]
     digits = [0] * len(high)
     prefix = np.zeros(rows.shape[1:], dtype=rows.dtype)
+    skip = 1  # column 0 with s = 0 is the zero message
     while True:
-        weights = weigh(table, prefix)
-        if not include_zero and not any(digits):
-            weights = weights[1:]  # column 0 with s = 0 is the zero message
-        yield weights
+        yield weigh(table, prefix)[skip:]
+        skip = 0
         for i, row in enumerate(high):
             prefix = add(prefix, row)
             digits[i] = (digits[i] + 1) % p
@@ -481,7 +505,7 @@ def min_distance(c, budget=DEFAULT_BUDGET):
     t0 = time.perf_counter()
     floor = 1 if (np.count_nonzero(m.rows, axis=1) == 1).any() else 2
     best = m.n
-    for weights in _weights(m, include_zero=False):
+    for weights in _weights(m):
         best = min(best, int(weights.min()))
         if best <= floor:
             break
@@ -498,7 +522,8 @@ def weight_distribution(c, budget=DEFAULT_BUDGET):
     bounds the q^k - 1 nonzero codewords, as for min_distance."""
     m, _ = _basis_within_budget(c, budget)
     counts = np.zeros(m.n + 1, dtype=np.int64)
-    for weights in _weights(m, include_zero=True):
+    counts[0] = 1  # the zero codeword, which the walk skips
+    for weights in _weights(m):
         counts += np.bincount(weights, minlength=m.n + 1)
     return [int(x) for x in counts]
 

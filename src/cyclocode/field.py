@@ -75,6 +75,18 @@ def _int_mul(a, b):
     return out
 
 
+def _power(x, e, mul, one):
+    """x^e for an int e >= 0 by square-and-multiply, where mul multiplies
+    and one is its identity: the one power rule of fields and polynomials."""
+    r = one
+    while e:
+        if e & 1:
+            r = mul(r, x)
+        x = mul(x, x)
+        e >>= 1
+    return r
+
+
 def _digits(v, p, l):
     """The l base-p digits of v, ascending."""
     digits = []
@@ -226,14 +238,8 @@ class FieldCtx:
 
     def pow(self, a, e):
         if e < 0:
-            return self.pow(self.inv(a), -e)
-        r = 1
-        while e:
-            if e & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return r
+            a, e = self.inv(a), -e
+        return _power(a, e, self.mul, 1)
 
     def inv(self, a):
         if a == 0:
@@ -293,46 +299,26 @@ def _flat_list(table):
 
 
 class Extension:
-    """A field F_{q^m} together with the embedding of a base field into it."""
+    """A field F_{q^m} together with the embedding of a base field into it,
+    built whole by make_extension: the images of the base's elements and the
+    map back, both None when the embedding is the identity."""
     __setattr__ = __delattr__ = _read_only
 
-    def __init__(self, base, field, root):
+    def __init__(self, base, field, table=None, inverse=None):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "_root", root)  # image of u; None if embed is the identity
-        object.__setattr__(self, "_table", None)
-        object.__setattr__(self, "_inverse", None)
-
-    def _embed_table(self):
-        if self._table is None:
-            if self._root is None:
-                object.__setattr__(self, "_table", list(range(self.base.q)))
-            else:
-                big = self.field
-                powers = [1]
-                for _ in range(self.base.l - 1):
-                    powers.append(big.mul(powers[-1], self._root))
-                table = []
-                for a in range(self.base.q):
-                    acc = 0
-                    for d, rp in zip(self.base.decode(a), powers):
-                        acc = big.add(acc, big.mul(d % self.base.p, rp))
-                    table.append(acc)
-                object.__setattr__(self, "_table", table)
-        return self._table
+        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "_inverse", inverse)
 
     def embed(self, a):
-        return self._embed_table()[a]
+        return a if self._table is None else self._table[a]
 
     def retract(self, b):
         """Inverse of embed; raises if b is outside the embedded base field."""
-        if self._inverse is None:
-            inverse = {img: a for a, img in enumerate(self._embed_table())}
-            object.__setattr__(self, "_inverse", inverse)
-        try:
-            return self._inverse[b]
-        except KeyError:
-            raise InvalidArgument(f"{b} is not in the embedded base field") from None
+        a = b if self._inverse is None else self._inverse.get(b)
+        if a not in range(self.base.q):
+            raise InvalidArgument(f"{b} is not in the embedded base field")
+        return a
 
 
 def make_prime_field(p):
@@ -358,13 +344,12 @@ def _extension_field(p, l):
     return FieldCtx(p) if l == 1 else FieldCtx(p, l, _canonical_modulus(p, l))
 
 
+@lru_cache(maxsize=None)
 def make_extension(base, m):
     """F_{q^m} as a single F_p-extension of degree l*m, with base embedded.
 
-    The base field is located inside the big field as the canonically-least
-    root of its defining polynomial among the elements of order dividing q-1.
-    Each (base, m) is built once and shared, with the embedding tables it
-    fills on use.  q^m may not exceed ROOT_SEARCH_LIMIT.
+    Each (base, m) is built once, embedding included, and shared.  q^m may
+    not exceed ROOT_SEARCH_LIMIT.
     """
     if m < 1:
         raise InvalidArgument("extension degree must be >= 1")
@@ -372,19 +357,18 @@ def make_extension(base, m):
         raise InvalidArgument(
             f"q^m = {base.q}^{m} exceeds the support cap {ROOT_SEARCH_LIMIT}"
         )
-    return _extension(base, m)
+    big = base if m == 1 else _extension_field(base.p, base.l * m)
+    if big is base or base.l == 1:  # base's elements encode as themselves in big
+        return Extension(base, big)
+    return Extension(base, big, *_embedding(base, big))
 
 
-@lru_cache(maxsize=None)
-def _extension(base, m):
-    if m == 1:
-        return Extension(base, base, None)
-    big = _extension_field(base.p, base.l * m)
-    return Extension(base, big, None if base.l == 1 else _subfield_root(base, big))
+def _embedding(base, big):
+    """The images in big of base's elements, and the map back from them.
 
-
-def _subfield_root(base, big):
-    """Canonically-least root of base's modulus among the F_q elements of big."""
+    u goes to the canonically-least root of base's modulus among the
+    elements of order dividing q - 1, and sum d_i u^i to sum d_i root^i.
+    """
     from .poly import Poly
 
     zeta = nth_root_of_unity(big, base.q - 1)  # F_q* is the group it generates
@@ -392,10 +376,14 @@ def _subfield_root(base, big):
     candidates = [0, 1]
     for _ in range(base.q - 2):
         candidates.append(big.mul(candidates[-1], zeta))
-    roots = [x for x in candidates if f.eval(x) == 0]
-    if not roots:
+    root = min((x for x in candidates if f.eval(x) == 0), default=None)
+    if root is None:
         raise CycloError("base modulus has no root in the extension")
-    return min(roots)
+    table = [0]
+    for i in range(base.l):  # table[a] for every a < p^(i + 1), digit i major
+        power = big.pow(root, i)
+        table = [big.add(t, big.mul(d, power)) for d in range(base.p) for t in table]
+    return table, {img: a for a, img in enumerate(table)}
 
 
 def nth_root_of_unity(ctx, n):

@@ -8,7 +8,7 @@ schoolbook and exact -- lengths here stay in the hundreds.
 from operator import index
 
 from .errors import InvalidArgument
-from .field import _int_mul, _read_only, check_n, factorize
+from .field import _int_mul, _power, _read_only, check_n, factorize
 
 
 def _stripped(cs):
@@ -178,15 +178,8 @@ class Poly:
         return a.monic() if not a.is_zero else a
 
     def pow_mod(self, e, mod):
-        """self^e modulo mod, by square-and-multiply."""
-        result = Poly.one(self.ctx)
-        base = self % mod
-        while e:
-            if e & 1:
-                result = (result * base) % mod
-            base = (base * base) % mod
-            e >>= 1
-        return result
+        """self^e modulo mod, by the field's square-and-multiply."""
+        return _power(self % mod, e, lambda a, b: (a * b) % mod, Poly.one(self.ctx))
 
     # -- evaluation ----------------------------------------------------------
 

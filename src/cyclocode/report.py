@@ -25,17 +25,6 @@ CSV_COLUMNS = [
     "elapsed_s",
 ]
 
-THEOREM_IDS = (
-    "CN-DIST",
-    "CN1-DIST",
-    "CN-DUAL-DIST",
-    "TENSOR-EQUIV",
-    "CN1-DUAL-SUM",
-    "FACTORIZATION",
-    "CONJECTURE-CN1-DUAL",
-)
-
-
 @dataclass
 class VerificationRecord:
     theorem_id: str

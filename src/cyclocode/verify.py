@@ -17,10 +17,9 @@ from . import codes, tensor
 from .cyclotomic import profile, verify_factorization
 from .errors import BudgetExceeded, ConfigInvalid, CycloError, InvalidArgument
 from .field import is_int, is_prime, parse_field
-from .report import FORMATS, THEOREM_IDS, VerificationRecord
+from .report import FORMATS, VerificationRecord
 
 DEFAULT_FIELDS = ["2", "3", "2^2", "5", "7", "2^3", "3^2"]
-DEFAULT_THEOREMS = [t for t in THEOREM_IDS if t != "CONJECTURE-CN1-DUAL"]
 # C_{n,1} is the zero code at prime n.
 _COMPOSITE_ONLY = ("CN1-DIST", "CN1-DUAL-SUM", "CONJECTURE-CN1-DUAL")
 
@@ -195,6 +194,8 @@ _CHECKS = {
     "FACTORIZATION": _factorization,
     "CONJECTURE-CN1-DUAL": _conjecture_cn1_dual,
 }
+THEOREM_IDS = tuple(_CHECKS)
+DEFAULT_THEOREMS = [t for t in THEOREM_IDS if t != "CONJECTURE-CN1-DUAL"]
 
 
 def _not_applicable(theorem, q, pr):

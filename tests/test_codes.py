@@ -19,7 +19,7 @@ from helpers import (
     naive_weight_distribution,
 )
 
-from cyclocode import codes, field
+from cyclocode import codes
 from cyclocode.codes import (
     _LOW_TABLE,
     _prime_field_expansion,
@@ -38,7 +38,14 @@ from cyclocode.codes import (
     weight_distribution,
     zeros_and_nonzeros,
 )
-from cyclocode.cyclotomic import cosets, minimal_poly, multiplicative_order_mod, profile
+from cyclocode.cyclotomic import (
+    cosets,
+    cyclotomic_cofactor,
+    cyclotomic_poly,
+    minimal_poly,
+    multiplicative_order_mod,
+    profile,
+)
 from cyclocode.errors import BudgetExceeded, CycloError, InvalidArgument
 from cyclocode.field import (
     Extension,
@@ -75,6 +82,42 @@ def test_from_generator_rejects_non_divisor():
 def test_from_generator_rejects_non_monic():
     with pytest.raises(InvalidArgument, match="monic"):
         from_generator(Poly(F5, [1, 2]), 4)
+
+
+def test_cyclic_code_refuses_an_h_that_is_not_the_cofactor():
+    # x + 1 is not the check polynomial of Q_15: the code would claim k = 7
+    # and have a [15, 14] dual
+    q15 = cyclotomic_poly(15, F2)
+    with pytest.raises(InvalidArgument, match=r"g h is not x\^15 - 1"):
+        CyclicCode(15, F2, q15, Poly(F2, [1, 1]))
+    c = CyclicCode(15, F2, q15, cyclotomic_cofactor(15, F2))
+    assert (c.n, c.k) == (15, 7)
+    assert same_code(dual(c), dual(build_Cn(15, F2)))
+
+
+# over F_5, x^4 - 1 = (x + 4)(x^3 + x^2 + x + 1)
+@pytest.mark.parametrize("n,ctx,g,h,match", [
+    (4, F5, [4, 1], [2, 2, 2, 2], "g h is not"),  # h off by a scalar
+    (8, F5, [4, 1], [1, 1, 1, 1], "g h is not"),  # the product is x^4 - 1
+    (4, F2, [4, 1], [1, 1, 1, 1], "g h is not"),  # g and h over F_5, ctx F_2
+    (4, F5, [3, 2], [3, 3, 3, 3], "monic"),       # g h = x^4 - 1, but g = 2 (x + 4)
+    (4, F5, [], [1], "monic"),                    # the zero polynomial
+    (4, F5, [4, 1], None, "g h is not"),          # h is not a polynomial
+    (0, F5, [1], [1], "n must be"),
+])
+def test_cyclic_code_refuses_bad_generators(n, ctx, g, h, match):
+    with pytest.raises(InvalidArgument, match=match):
+        CyclicCode(n, ctx, Poly(F5, g), h if h is None else Poly(F5, h))
+
+
+def test_trusted_codes_skip_the_product(monkeypatch):
+    products = []
+    mul = Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    c = from_generator(Poly(F2, [1, 1, 0, 1]), 7)  # divides x^7 - 1 and multiplies nothing
+    assert (c.k, dual(c).k, products) == (4, 3, [])
+    assert CyclicCode(7, F2, c.g, c.h).k == 4
+    assert products == [1]
 
 
 def test_build_Cn():
@@ -497,8 +540,8 @@ def test_weight_2_floor_stops_the_walk_after_one_step(monkeypatch):
     steps = []
     weights = codes._weights
 
-    def counted(m, include_zero):
-        for w in weights(m, include_zero):
+    def counted(m):
+        for w in weights(m):
             steps.append(len(w))
             yield w
 
@@ -943,7 +986,7 @@ def test_zeros_and_nonzeros_evaluates_g_once_per_coset(literal, n):
 
 def test_zeros_in_the_field_itself_build_no_embedding_table(monkeypatch):
     c = build_Cn(3, parse_field("2^10"))  # 1024 = 1 mod 3: the splitting field is F_1024
-    field._extension.cache_clear()  # so make_extension(F_1024, 1) is built here
+    make_extension.cache_clear()  # so make_extension(F_1024, 1) is built here
     calls = []
     mul = FieldCtx.mul
     monkeypatch.setattr(FieldCtx, "mul", lambda ctx, a, b: calls.append(1) or mul(ctx, a, b))

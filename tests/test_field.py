@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cyclocode.errors import InvalidArgument
 from cyclocode.field import (
@@ -359,6 +359,30 @@ def test_field_axioms_property(literal, data):
     assert ctx.add(a, ctx.neg(a)) == 0
     if a:
         assert ctx.mul(a, ctx.inv(a)) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    literal=st.sampled_from(["2", "3^2", "2^8", "2^10"]),  # 2^10 has no tables
+    a=st.integers(0, 1023),
+    e=st.integers(-30, 300),
+)
+@example(literal="2^10", a=5, e=0)
+@example(literal="3^2", a=0, e=0)
+@example(literal="2^8", a=3, e=-1)
+@example(literal="2^10", a=7, e=6)
+def test_pow_matches_repeated_naive_products(literal, a, e):
+    """a^e is |e| naive products of a; for e < 0, a^e times a^|e| is 1."""
+    ctx = parse_field(literal)
+    a %= ctx.q
+    assume(a or e >= 0)
+    power = 1
+    for _ in range(abs(e)):
+        power = naive_field_mul(ctx, power, a)
+    if e >= 0:
+        assert ctx.pow(a, e) == power
+    else:
+        assert naive_field_mul(ctx, ctx.pow(a, e), power) == 1
 
 
 @pytest.mark.parametrize("literal", ["2", "5", "2^2", "3^2", "2^8", "2^10", "1031"])

@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cyclocode.errors import CycloError, InvalidArgument
 from cyclocode.field import make_extension, make_prime_field, parse_field
@@ -175,3 +175,23 @@ def test_the_zero_polynomial_has_no_monic_form():
     with pytest.raises(InvalidArgument, match="no monic form"):
         Poly(F5, []).monic()
     assert Poly(F5, [7, -1]).coeffs == (2, 4)  # prime fields reduce plain ints
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    literal=st.sampled_from(["2", "3^2", "2^10"]),
+    f=st.lists(st.integers(0, 1023), max_size=6),
+    mod=st.lists(st.integers(0, 1023), max_size=5),
+    e=st.integers(0, 40),
+)
+@example(literal="2^10", f=[3, 1], mod=[1, 0, 1], e=0)
+@example(literal="2", f=[0, 1], mod=[1, 1, 0, 1], e=9)
+def test_pow_mod_matches_repeated_products(literal, f, mod, e):
+    """f^e mod m is e naive products, each reduced mod m; m is monic."""
+    ctx = parse_field(literal)
+    f = Poly(ctx, [c % ctx.q for c in f])
+    mod = Poly(ctx, [c % ctx.q for c in mod] + [1])
+    power = Poly.one(ctx)
+    for _ in range(e):
+        power = Poly(ctx, naive_poly_mul(ctx, power.coeffs, f.coeffs)) % mod
+    assert f.pow_mod(e, mod) == power

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import pathlib
 import time
 
 import numpy as np
@@ -14,12 +15,11 @@ from cyclocode.errors import ConfigInvalid, CycloError
 from cyclocode.field import make_prime_field
 from cyclocode.report import (
     CSV_COLUMNS,
-    THEOREM_IDS,
     VerificationRecord,
     emit_report,
     zero_elapsed,
 )
-from cyclocode.verify import SweepConfig, _distance_row, dual_cn_row, sweep
+from cyclocode.verify import THEOREM_IDS, SweepConfig, _distance_row, dual_cn_row, sweep
 
 
 def test_sweep_cn_dist_f2():
@@ -636,3 +636,18 @@ def test_cli_budget_int64_max_accepted(capsys):
     argv = ["code", "mindist", "--n", "15", "--field", "2", "--budget", str(2 ** 63 - 1)]
     assert cli_main(argv) == 0
     assert json.loads(capsys.readouterr().out)["d"] == 3
+
+
+# The deterministic reports, written by the CLI as the tests below run it;
+# a change that means to alter a report regenerates these files with it.
+_GOLDEN = pathlib.Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("default-sweep.csv", ["verify", "sweep"]),
+    ("conjecture-24.csv", ["conjecture", "run", "--n-max", "24"]),
+])
+def test_deterministic_reports_match_the_golden_files(tmp_path, name, argv):
+    out = tmp_path / name
+    assert cli_main(argv + ["--deterministic", "--format", "csv", "--output", str(out)]) == 0
+    assert out.read_bytes() == (_GOLDEN / name).read_bytes()
