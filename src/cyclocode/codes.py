@@ -34,7 +34,9 @@ import numpy as np
 
 from .cyclotomic import cosets, cyclotomic_cofactor, cyclotomic_poly, multiplicative_order_mod
 from .errors import BudgetExceeded, CycloError, InvalidArgument
-from .field import _read_only, check_n, is_int, is_prime, make_extension, nth_root_of_unity
+from .field import (
+    _digit_sum, _read_only, check_n, is_int, is_prime, make_extension, nth_root_of_unity,
+)
 from .poly import Poly, reciprocal
 
 DEFAULT_BUDGET = 1 << 24
@@ -388,9 +390,10 @@ def _symbol_layout(m):
     symbols as n bits packed little-endian into W = ceil(n / 64) uint64 words
     whose padding bits are 0.  A sum is an XOR, and a symbol is nonzero where
     the OR of its planes has a 1, so a column's weight is the popcount of
-    that OR summed over the words.  Over odd p a row stays n * l digits: a
-    sum is a digit add mod p, and a symbol of t - s is zero exactly where t
-    and s have the same digits.
+    that OR summed over the words.  Over odd p a row stays n * l digits in
+    an unsigned dtype that holds 2(p - 1): a sum is field._digit_sum, a digit
+    add with no division, and a symbol of t - s is zero exactly where t and s
+    have the same digits.
     """
     p, l, n = m.ctx.p, m.ctx.l, m.n
     rows = _prime_field_expansion(m)
@@ -412,7 +415,7 @@ def _symbol_layout(m):
         return packed.view(np.uint64), np.bitwise_xor, weigh
 
     def add(a, b):
-        return (a + b) % p
+        return _digit_sum(a, b, p)
 
     def weigh(table, prefix):
         differs = table != prefix[..., None]

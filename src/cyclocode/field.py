@@ -13,10 +13,10 @@ import numpy as np
 
 from .errors import CycloError, InvalidArgument
 
-# Fields up to this order keep full q x q add/mul tables, built with O(q)
-# scalar work from the log/antilog of the primitive element, as numpy arrays
-# for whole-array arithmetic and as flat lists for scalar look-ups; larger
-# contexts fall back to digit arithmetic per operation.
+# Fields up to this order keep full q x q add/mul tables, built with
+# whole-array maps from the log/antilog of the primitive element, as numpy
+# arrays for whole-array arithmetic and as flat lists for scalar look-ups;
+# larger contexts fall back to digit arithmetic per operation.
 TABLE_LIMIT = 512
 
 # Support contract: a context itself never exceeds 2^16 elements unless it
@@ -96,6 +96,14 @@ def _digits(v, p, l):
     return digits
 
 
+def _digit_sum(a, b, p):
+    """(a + b) mod p for unsigned arrays of digits below p, in a dtype that
+    holds 2(p - 1), with no integer division: s = a + b is below 2p, and
+    where s < p, s - p wraps around above s, so min(s, s - p) is exact."""
+    s = a + b
+    return np.minimum(s, s - p)
+
+
 class FieldCtx:
     """A concrete finite field F_{p^l}; immutable after construction."""
     __setattr__ = __delattr__ = _read_only
@@ -150,37 +158,40 @@ class FieldCtx:
         """Fill the q x q add/mul tables from the log/antilog of gamma.
 
         gamma = primitive_element() is found by digit arithmetic, as no table
-        is set yet; it raises for a reducible modulus. exp[i] = gamma^i takes
-        q - 2 more products, and log is its inverse permutation, so
-        a*b = exp[(log a + log b) mod (q - 1)] for nonzero a, b. Sums act
-        digit by digit: XOR for p = 2, otherwise (d_i(a) + d_i(b)) mod p
-        re-encoded one digit plane at a time. Both tables are kept as q x q
-        arrays of the smallest dtype holding q - 1, for add_array/mul_array,
-        and as flat lists, so add/mul stay one list index.
+        is set yet; it raises for a reducible modulus. a -> a*gamma is
+        F_p-linear, so its image of all q elements is one digit-matrix product
+        mod p, from the l products gamma*u^j; exp[i] = gamma^i is the walk
+        1 -> gamma -> gamma^2 ... over that permutation, and log is its
+        inverse, so a*b = exp[(log a + log b) mod (q - 1)] for nonzero a, b.
+        Sums act digit by digit: XOR for p = 2, otherwise _digit_sum of one
+        digit plane at a time. Both tables are kept as q x q arrays of the
+        smallest dtype holding q - 1, for add_array/mul_array, and as flat
+        lists, so add/mul stay one list index.
         """
-        q, p = self.q, self.p
+        q, p, l = self.q, self.p, self.l
         gamma = self.primitive_element()
-        exp = [1]
-        for _ in range(q - 2):
-            exp.append(self._mul_raw(exp[-1], gamma))
         # log sums and digit sums reach 2(q - 2), so hold them in a type for 2q
         dt = np.min_scalar_type(2 * q)
+        digits = np.indices((p,) * l, dtype=dt).reshape(l, q)[::-1]  # [t, a]: digit t of a
+        places = [p ** t for t in range(l)]
+        image = [_digits(self._mul_raw(u, gamma), p, l) for u in places]
+        times = (digits.T.astype(np.int64) @ image % p @ places).tolist()
+        exp = [1]
+        for _ in range(q - 2):
+            exp.append(times[exp[-1]])
         exp = np.array(exp + exp[:-1], dtype=dt)  # doubled: no reduction mod q - 1
         log = np.zeros(q, dtype=dt)
         log[exp[: q - 1]] = np.arange(q - 1, dtype=dt)
         mul = exp[np.add.outer(log, log)]
         mul[0, :] = 0
         mul[:, 0] = 0
-        elems = np.arange(q, dtype=dt)
         if p == 2:
+            elems = np.arange(q, dtype=dt)
             add = np.bitwise_xor.outer(elems, elems)
         else:
             add = np.zeros((q, q), dtype=dt)
-            place = 1
-            for _ in range(self.l):
-                digit = elems // place % p
-                add += np.add.outer(digit, digit) % p * place
-                place *= p
+            for place, digit in zip(places, digits):
+                add += _digit_sum(digit[:, None], digit, p) * place
         elem = np.min_scalar_type(q - 1)
         object.__setattr__(self, "_add_array", add.astype(elem))
         object.__setattr__(self, "_mul_array", mul.astype(elem))
@@ -327,14 +338,18 @@ def make_prime_field(p):
 
 
 def _canonical_modulus(p, d):
-    """First monic irreducible of degree d over F_p in canonical order."""
+    """First monic irreducible of degree d >= 2 over F_p in canonical order.
+
+    A candidate with a root in F_p has a linear factor, so the p evaluations
+    skip it before Rabin's test, which decides the rest.
+    """
     from .poly import Poly, is_irreducible
 
     _check_prime(p, d)  # before F_p is built, so that the hint names F_(p^d)
     ctx = make_prime_field(p)
     for low in range(p ** d):
-        f = Poly(ctx, _digits(low, p, d) + [1])
-        if is_irreducible(f):
+        f = Poly._of(ctx, _digits(low, p, d) + [1])
+        if all(f.eval(a) for a in range(p)) and is_irreducible(f):
             return f.coeffs
     raise CycloError("no irreducible polynomial found")  # unreachable
 

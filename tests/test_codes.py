@@ -937,6 +937,22 @@ def test_weight_distribution():
         assert wd == naive_weight_distribution(c)
 
 
+# Over F_127 the walk adds uint8 digits whose sums reach 252, and over F_131
+# uint16 ones: the division-free digit add must wrap exactly at both edges.
+# k = 2 takes one table row and one odometer row.
+@pytest.mark.parametrize("literal", ["127", "131"])
+def test_walk_over_wide_prime_fields_matches_naive_oracle(literal):
+    ctx = parse_field(literal)
+    rng = random.Random(ctx.q)
+    matrices = [build_repetition(5, ctx)] + [
+        GenMatrix(ctx, [[rng.randrange(ctx.q) for _ in range(n)] for _ in range(2)], n=n)
+        for n in (3, 4, 6)
+    ]
+    for m in matrices:
+        assert min_distance(m).d == naive_min_distance(m)
+        assert weight_distribution(m) == naive_weight_distribution(m)
+
+
 def test_weight_distribution_budget():
     with pytest.raises(BudgetExceeded):
         weight_distribution(build_Cn(15, F2), budget=100)

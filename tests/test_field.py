@@ -9,6 +9,8 @@ from cyclocode.errors import InvalidArgument
 from cyclocode.field import (
     TABLE_LIMIT,
     FieldCtx,
+    _canonical_modulus,
+    _digit_sum,
     is_prime,
     make_extension,
     make_prime_field,
@@ -298,6 +300,49 @@ def test_canonical_modulus_is_deterministic():
     a = parse_field("2^3")
     b = parse_field("2^3")
     assert a.modulus == b.modulus == (1, 1, 0, 1)  # x^3 + x + 1
+
+
+def _first_irreducible(p, d):
+    """The first monic degree-d polynomial over F_p in canonical order (its
+    low coefficients read as base-p digits of 0, 1, 2, ...) that no monic
+    polynomial of degree 1 to d // 2 divides, by long division of ints."""
+    def coeffs(low, degree):
+        return [low // p ** i % p for i in range(degree)] + [1]
+
+    def divides(g, f):
+        rem = list(f)
+        for top in range(len(f) - 1, len(g) - 2, -1):
+            c = rem[top]
+            for j, gc in enumerate(g):
+                rem[top - len(g) + 1 + j] = (rem[top - len(g) + 1 + j] - c * gc) % p
+        return not any(rem)
+
+    for low in range(p ** d):
+        f = coeffs(low, d)
+        if not any(
+            divides(coeffs(g, e), f) for e in range(1, d // 2 + 1) for g in range(p ** e)
+        ):
+            return tuple(f)
+    raise AssertionError(f"no irreducible of degree {d} over F_{p}")
+
+
+@pytest.mark.parametrize("p,d", [
+    (p, d) for p in (2, 3, 5, 7) for d in range(2, 13) if p ** d <= 4096
+])
+def test_canonical_modulus_matches_trial_division(p, d):
+    # the root pre-filter may skip only reducible candidates
+    assert _canonical_modulus(p, d) == _first_irreducible(p, d)
+
+
+@pytest.mark.parametrize("p,dtype", [(3, np.uint8), (127, np.uint8), (131, np.uint16)])
+def test_digit_sum_matches_mod_p_at_the_dtype_edge(p, dtype):
+    # the dtype _prime_field_expansion picks: 127 is the largest p whose
+    # digit sums fit uint8, so its s - p wraps at 256
+    assert np.min_scalar_type(2 * (p - 1)) == dtype
+    digits = np.arange(p, dtype=dtype)
+    got = _digit_sum(digits[:, None], digits, p)
+    assert got.dtype == dtype
+    assert got.tolist() == [[(a + b) % p for b in range(p)] for a in range(p)]
 
 
 @pytest.mark.parametrize("literal", TABLE_FIELDS)
