@@ -15,8 +15,11 @@ from .errors import CycloError, InvalidArgument
 
 # Fields up to this order keep full q x q add/mul tables, built with
 # whole-array maps from the log/antilog of the primitive element, as numpy
-# arrays for whole-array arithmetic and as flat lists for scalar look-ups;
-# larger contexts fall back to digit arithmetic per operation.
+# arrays for whole-array arithmetic and as flat lists for scalar look-ups.
+# Every larger field adds and multiplies by one digit rule, _add_raw and
+# _mul_raw, whatever its p and l. At 512, F_{2^9} holds about 13 MB of tables;
+# a limit of 256 would make the zeros of C_511 over F_2, which live in
+# F_{2^9}, take 15-20x as long.
 TABLE_LIMIT = 512
 
 # Support contract: a context itself never exceeds 2^16 elements unless it
@@ -96,6 +99,15 @@ def _digits(v, p, l):
     return digits
 
 
+def _from_digits(digits, p):
+    """The int whose ascending base-p digits are digits reduced mod p: the
+    inverse of _digits."""
+    v = 0
+    for d in reversed(digits):
+        v = v * p + d % p
+    return v
+
+
 def _digit_sum(a, b, p):
     """(a + b) mod p for unsigned arrays of digits below p, in a dtype that
     holds 2(p - 1), with no integer division: s = a + b is below 2p, and
@@ -118,6 +130,8 @@ class FieldCtx:
         else:
             if modulus is None or len(modulus) != l + 1 or modulus[-1] != 1:
                 raise InvalidArgument("modulus must be monic of degree l")
+            if not all(is_int(c) for c in modulus):
+                raise InvalidArgument(f"modulus coefficients must be integers, got {modulus!r}")
             object.__setattr__(self, "modulus", tuple(c % p for c in modulus[:-1]) + (1,))
             if self.q > TABLE_LIMIT:
                 self._check_irreducible()
@@ -139,18 +153,6 @@ class FieldCtx:
             raise InvalidArgument(
                 f"modulus {self.modulus} is not irreducible over F_{self.p}"
             )
-
-    # -- representation helpers ------------------------------------------
-
-    def decode(self, a):
-        """Base-p digits of the encoding, ascending, length l."""
-        return _digits(a, self.p, self.l)
-
-    def encode(self, digits):
-        v = 0
-        for d in reversed(digits):
-            v = v * self.p + (d % self.p)
-        return v
 
     # -- arithmetic -------------------------------------------------------
 
@@ -195,32 +197,29 @@ class FieldCtx:
         elem = np.min_scalar_type(q - 1)
         object.__setattr__(self, "_add_array", add.astype(elem))
         object.__setattr__(self, "_mul_array", mul.astype(elem))
-        object.__setattr__(self, "_add_table", _flat_list(self._add_array))
-        object.__setattr__(self, "_mul_table", _flat_list(self._mul_array))
+        object.__setattr__(self, "_add_table", self._add_array.ravel().tolist())
+        object.__setattr__(self, "_mul_table", self._mul_array.ravel().tolist())
 
     def _add_raw(self, a, b):
-        if self.l == 1:
-            return (a + b) % self.p
-        if self.p == 2:
-            return a ^ b
-        da = self.decode(a)
-        db = self.decode(b)
-        return self.encode([x + y for x, y in zip(da, db)])
+        """a + b by the digit rule of every field without tables: the base-p
+        digits added one by one, mod p."""
+        p, l = self.p, self.l
+        return _from_digits([x + y for x, y in zip(_digits(a, p, l), _digits(b, p, l))], p)
 
     def _mul_raw(self, a, b):
-        p = self.p
-        if self.l == 1:
-            return (a * b) % p
-        prod = _int_mul(self.decode(a), self.decode(b))
-        # reduce modulo the defining polynomial
+        """a * b by the digit rule of every field without tables: the
+        schoolbook product of the digit vectors, reduced by the modulus
+        (u^l = -(modulus without its leading 1); nothing to reduce when l = 1)."""
+        p, l = self.p, self.l
+        prod = _int_mul(_digits(a, p, l), _digits(b, p, l))
         mod = self.modulus
-        for i in range(len(prod) - 1, self.l - 1, -1):
+        for i in range(len(prod) - 1, l - 1, -1):
             c = prod[i]
             if c:
                 prod[i] = 0
-                for j in range(self.l):
-                    prod[i - self.l + j] = (prod[i - self.l + j] - c * mod[j]) % p
-        return self.encode(prod[: self.l])
+                for j in range(l):
+                    prod[i - l + j] = (prod[i - l + j] - c * mod[j]) % p
+        return _from_digits(prod[:l], p)
 
     def add(self, a, b):
         if self._add_table is not None:
@@ -248,16 +247,17 @@ class FieldCtx:
         return np.frompyfunc(self.mul, 2, 1)(a, b).astype(np.int64)
 
     def pow(self, a, e):
+        if not is_int(e):
+            raise InvalidArgument(f"exponent must be an integer, got {e!r}")
         if e < 0:
             a, e = self.inv(a), -e
         return _power(a, e, self.mul, 1)
 
     def inv(self, a):
-        if a == 0:
-            raise InvalidArgument("0 has no multiplicative inverse")
-        if self.l == 1:
-            return pow(a, self.p - 2, self.p)
-        return self.pow(a, self.q - 2)
+        """a^(q - 2), the inverse of an element a in 1 .. q - 1."""
+        if not (is_int(a) and 0 < a < self.q):
+            raise InvalidArgument(f"{a!r} has no multiplicative inverse in {self!r}")
+        return _power(a, self.q - 2, self.mul, 1)
 
     # -- multiplicative structure ------------------------------------------
 
@@ -293,20 +293,6 @@ class FieldCtx:
 
     def literal(self):
         return str(self.p) if self.l == 1 else f"{self.p}^{self.l}"
-
-
-def _flat_list(table):
-    """The entries of a q x q table of field elements as one flat list.
-
-    CPython keeps a single object for each int up to 256, but tolist() makes
-    a new int for every larger entry, so bigger fields share the q objects
-    of range(q) instead of holding q^2 ints.
-    """
-    q = len(table)
-    if q <= 257:
-        return table.ravel().tolist()
-    elems = list(range(q))
-    return [elems[v] for row in table for v in row.tolist()]
 
 
 class Extension:
@@ -359,16 +345,19 @@ def _extension_field(p, l):
     return FieldCtx(p) if l == 1 else FieldCtx(p, l, _canonical_modulus(p, l))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def make_extension(base, m):
     """F_{q^m} as a single F_p-extension of degree l*m, with base embedded.
 
-    Each (base, m) is built once, embedding included, and shared.  q^m may
-    not exceed ROOT_SEARCH_LIMIT.
+    Each (base, m) is built once, embedding included, and shared; typed, so
+    that m = 2.0 or True reaches the check rather than the entry of 2 or 1.
+    q^m may not exceed ROOT_SEARCH_LIMIT.
     """
+    if not is_int(m):
+        raise InvalidArgument(f"extension degree must be an integer, got m = {m!r}")
     if m < 1:
         raise InvalidArgument("extension degree must be >= 1")
-    if base.q ** m > ROOT_SEARCH_LIMIT:
+    if m > 24 or base.q ** m > ROOT_SEARCH_LIMIT:  # q >= 2, so m > 24 gives q^m > 2^24
         raise InvalidArgument(
             f"q^m = {base.q}^{m} exceeds the support cap {ROOT_SEARCH_LIMIT}"
         )
@@ -403,7 +392,8 @@ def _embedding(base, big):
 
 def nth_root_of_unity(ctx, n):
     """The canonical primitive n-th root of unity gamma^((q-1)/n)."""
-    if n < 1 or (ctx.q - 1) % n != 0:
+    check_n(n)
+    if (ctx.q - 1) % n != 0:
         raise InvalidArgument(f"{n} does not divide q-1 = {ctx.q - 1}")
     return ctx.pow(ctx.primitive_element(), (ctx.q - 1) // n)
 

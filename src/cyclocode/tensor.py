@@ -17,6 +17,7 @@ from . import codes
 from .codes import GenMatrix, build_Cn, dual, same_code
 from .cyclotomic import profile
 from .errors import InvalidArgument
+from .field import check_n
 from .field import make_extension  # noqa: F401  perfbench/smoke.py checks this look-up site
 from .report import VerificationRecord
 
@@ -24,6 +25,8 @@ from .report import VerificationRecord
 def crt_map(n1, n2):
     """The CRT bijection as a table: table[i*n2 + j] is the z in Z_{n1*n2}
     with z = i mod n1 and z = j mod n2."""
+    check_n(n1)
+    check_n(n2)
     if math.gcd(n1, n2) != 1:
         raise InvalidArgument(f"gcd({n1}, {n2}) != 1")
     z = np.arange(n1 * n2)

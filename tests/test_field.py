@@ -55,6 +55,31 @@ def test_inverse_of_zero_rejected():
         make_prime_field(5).inv(0)
 
 
+@pytest.mark.parametrize("literal,a", [
+    ("7", 7), ("7", 8), ("7", -1), ("2^2", 4), ("2^2", -3), ("2^10", 1024),
+    ("5", 2.0), ("5", True),
+])
+def test_inverse_refuses_a_non_element(literal, a):
+    # inv(7) over F_7 once returned 0, and inv(4) over F_4 ended in an IndexError
+    ctx = parse_field(literal)
+    with pytest.raises(InvalidArgument) as exc:
+        ctx.inv(a)
+    assert str(exc.value) == f"{a!r} has no multiplicative inverse in {ctx!r}"
+
+
+@pytest.mark.parametrize("e", [2.0, "2", None])
+def test_pow_refuses_an_exponent_that_is_not_an_integer(e):
+    with pytest.raises(InvalidArgument) as exc:
+        make_prime_field(5).pow(3, e)
+    assert str(exc.value) == f"exponent must be an integer, got {e!r}"
+
+
+@pytest.mark.parametrize("literal", TABLE_FIELDS)
+def test_every_nonzero_element_times_its_inverse_is_one(literal):
+    ctx = parse_field(literal)
+    assert all(ctx.mul(a, ctx.inv(a)) == 1 for a in range(1, ctx.q))
+
+
 def test_primitive_elements():
     assert make_prime_field(5).primitive_element() == 2
     assert make_prime_field(2).primitive_element() == 1
@@ -72,6 +97,14 @@ def test_element_order_divides_group_order(literal):
     ctx = parse_field(literal)
     for a in range(1, ctx.q):
         assert (ctx.q - 1) % _order(ctx, a) == 0
+
+
+@pytest.mark.parametrize("n", [2.0, "3", True, 0, -2])
+def test_nth_root_of_unity_refuses_a_bad_n(n):
+    # 2.0 and "3" once raised a TypeError, and True returned 1
+    with pytest.raises(InvalidArgument) as exc:
+        nth_root_of_unity(make_prime_field(7), n)
+    assert str(exc.value) == f"n must be an integer >= 1, got {n!r}"
 
 
 def test_nth_root_of_unity():
@@ -115,6 +148,38 @@ def test_make_extension_cap():
     assert make_extension(f4, 12).field.q == 1 << 24
     with pytest.raises(InvalidArgument, match=r"4\^13 exceeds"):  # 4^13 = 2^26
         make_extension(f4, 13)
+
+
+@pytest.mark.parametrize("m", ["2", 2.5, 2.0, True])
+def test_make_extension_refuses_a_degree_that_is_not_an_integer(m):
+    # "2" once raised a TypeError, and 2.5 was refused as a bad l; 2.0 == 2
+    # and True == 1, so the shared extensions must not answer for them
+    f3 = make_prime_field(3)
+    make_extension(f3, 1)
+    make_extension(f3, 2)
+    with pytest.raises(InvalidArgument) as exc:
+        make_extension(f3, m)
+    assert str(exc.value) == f"extension degree must be an integer, got m = {m!r}"
+
+
+class _OrderThatMustNotBeRaised(int):
+    def __pow__(self, e):
+        raise AssertionError(f"q^m computed for m = {e}")
+
+
+class _BaseOfOrder3:
+    p, l, q = 3, 1, _OrderThatMustNotBeRaised(3)
+
+
+@pytest.mark.parametrize("m", [25, 3 * 10 ** 7, 10 ** 12])
+def test_make_extension_refuses_a_large_degree_before_computing_q_to_the_m(m):
+    # F_3 with m = 3 * 10^7 once computed 3^m, an int of 14.3 million digits,
+    # before refusing it
+    with pytest.raises(InvalidArgument) as exc:
+        make_extension(_BaseOfOrder3(), m)
+    assert str(exc.value) == f"q^m = 3^{m} exceeds the support cap 16777216"
+    with pytest.raises(InvalidArgument, match=rf"3\^{m} exceeds"):
+        make_extension(make_prime_field(3), m)
 
 
 def test_make_extension_is_built_once():
@@ -296,6 +361,17 @@ def test_modulus_must_be_monic_of_degree_l(l, modulus):
         FieldCtx(2, l, modulus)
 
 
+@pytest.mark.parametrize("p,modulus", [
+    (2, (1.0, 1, 1)), (2, (1.5, 1, 1)), (2, (1, True, 1)), (2, (1, 1, 1.0)), (3, ("2", 0, 1)),
+    (2, (1.0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1)),  # above TABLE_LIMIT, before Rabin's test
+])
+def test_modulus_coefficients_must_be_integers(p, modulus):
+    # (1.0, 1, 1) once ended in a TypeError, and (1.5, 1, 1) was "not irreducible"
+    with pytest.raises(InvalidArgument) as exc:
+        FieldCtx(p, len(modulus) - 1, modulus)
+    assert str(exc.value) == f"modulus coefficients must be integers, got {modulus!r}"
+
+
 def test_canonical_modulus_is_deterministic():
     a = parse_field("2^3")
     b = parse_field("2^3")
@@ -359,16 +435,23 @@ def test_tables_match_schoolbook_oracle(literal):
         assert ctx.mul(a, b) == naive_field_mul(ctx, a, b)
 
 
-@pytest.mark.parametrize("literal", ["2^10", "3^7"])
+@pytest.mark.parametrize("literal", ["2^10", "3^7", "521", "65521", "2^16"])
 def test_digit_product_matches_schoolbook_oracle(literal):
+    # a field above TABLE_LIMIT adds, multiplies and inverts by the one digit
+    # rule, whatever its p and l: prime fields, p = 2 and odd p with l > 1
     ctx = parse_field(literal)
-    assert ctx.q > TABLE_LIMIT  # no tables: mul is the digit product _mul_raw
+    assert ctx._add_table is ctx._mul_table is None
     top = ctx.q - 1
     rng = random.Random(ctx.q)
-    pairs = [(0, top), (1, top), (top, top), (ctx.p, ctx.q // ctx.p)]
+    pairs = [(0, top), (1, top), (top, top), (ctx.p - 1, ctx.p - 1)]
+    if ctx.l > 1:
+        pairs.append((ctx.p, ctx.q // ctx.p))  # u * u^(l - 1) = u^l, reduced by the modulus
     pairs += [(rng.randrange(ctx.q), rng.randrange(ctx.q)) for _ in range(3000)]
     for a, b in pairs:
-        assert ctx._mul_raw(a, b) == naive_field_mul(ctx, a, b)
+        assert ctx.add(a, b) == naive_field_add(ctx, a, b)
+        assert ctx.mul(a, b) == naive_field_mul(ctx, a, b)
+    for a in [a for a, _ in pairs[:300] if a]:  # an inverse is about 2 log2(q) products
+        assert naive_field_mul(ctx, a, ctx.inv(a)) == 1
 
 
 def _order_by_repeated_mul(ctx, a):

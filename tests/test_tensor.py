@@ -40,6 +40,16 @@ def test_crt_map_bijection_and_congruences():
                 assert z % n1 == i and z % n2 == j
 
 
+@pytest.mark.parametrize("n1,n2,bad", [
+    (-2, 3, -2), (0, 1, 0), (3, 0, 0), (2.0, 3, 2.0), (3, True, True), ("3", 5, "3"),
+])
+def test_crt_map_refuses_a_bad_length(n1, n2, bad):
+    # (-2, 3) and (0, 1) once gave empty tables, and 2.0 a TypeError
+    with pytest.raises(InvalidArgument) as exc:
+        crt_map(n1, n2)
+    assert str(exc.value) == f"n must be an integer >= 1, got {bad!r}"
+
+
 def test_crt_map_rejects_non_coprime():
     with pytest.raises(InvalidArgument, match=r"gcd\(4, 6\)"):
         crt_map(4, 6)
