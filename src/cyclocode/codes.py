@@ -19,11 +19,15 @@ made here are marked canonical.  sum_codes extends one RREF basis by the
 other code's rows instead of row-reducing the two stacked.  Minimum
 distances and weight distributions come from one meet-in-the-middle
 enumeration over the prime subfield, one walk for every field: a table of
-all combinations of the first rows, walked by an odometer over the
-remaining rows, within a budget that check_budget validates.  The walk's
-rows are packed bit planes over characteristic 2, added by XOR and weighed
-by popcount, and digits over odd characteristic.  A GenMatrix
-refuses any entry that is not an element of its field.
+all combinations of the first symbols, walked by an odometer over the
+remaining symbols, within a budget that check_budget validates.  It weighs
+one message per class of F_q-multiples, the one whose highest nonzero
+symbol is 1, and counts it q - 1 times, as the multiples of a codeword
+share its weight.  The walk's rows are packed bit planes over
+characteristic 2, added by XOR and weighed by popcount, and digits over
+odd characteristic.  A GenMatrix refuses any entry that is not an element
+of its field, and the functions here refuse an argument that is not a code
+or a field with InvalidArgument.
 """
 
 import time
@@ -35,17 +39,19 @@ import numpy as np
 from .cyclotomic import cosets, cyclotomic_cofactor, cyclotomic_poly, multiplicative_order_mod
 from .errors import BudgetExceeded, CycloError, InvalidArgument
 from .field import (
-    _digit_sum, _read_only, check_n, is_int, is_prime, make_extension, nth_root_of_unity,
+    _digit_sum, _read_only, check_field, check_n, is_int, is_prime, make_extension,
+    nth_root_of_unity,
 )
 from .poly import Poly, reciprocal
 
 DEFAULT_BUDGET = 1 << 24
 # The largest budget accepted: a codeword count must fit numpy's int64.
 MAX_BUDGET = (1 << 63) - 1
-# Columns of the enumeration table: it holds every F_p-combination of as many
-# leading rows as fit, and each further row multiplies the walk over it by p.
-# At 2^13 a step's arrays stay in cache; larger tables measured slower and
-# raised peak memory.
+# Columns of the enumeration table: it holds every F_q-combination of as many
+# leading symbols as fit, at least one, and each further symbol multiplies
+# the walk over it by q.  At 2^13 a step's arrays stay in cache; larger tables
+# measured slower and raised peak memory.  A field with q > 2^13 holds a
+# table of q columns whenever the code has more than one symbol.
 _LOW_TABLE = 1 << 13
 
 
@@ -132,9 +138,10 @@ class GenMatrix:
 @dataclass
 class DistanceReport:
     """A minimum distance d, exact over the q^k - 1 nonzero codewords that
-    codewords_enumerated counts.  The walk behind it stops at a proved floor
-    (1, or 2 when no RREF row has weight 1), so that count is what the
-    result covers, not the number of codewords walked."""
+    codewords_enumerated counts.  The walk behind it weighs one codeword per
+    class of q - 1 scalar multiples, which share a weight, and stops at a
+    proved floor (1, or 2 when no RREF row has weight 1), so that count is
+    what the result covers, not the number of codewords weighed."""
 
     d: int
     codewords_enumerated: int
@@ -252,7 +259,9 @@ def build_Cn(n, ctx):
     Its check polynomial is the cofactor prod_{d | n, d < n} Q_d, formed over
     the integers where Q_n was divided out of x^n - 1 exactly.
     """
-    if n <= 1:
+    check_n(n)
+    check_field(ctx)
+    if n == 1:
         raise InvalidArgument(f"build_Cn needs n > 1, got {n}")
     return CyclicCode._of(
         n, ctx, cyclotomic_poly(n, ctx), cyclotomic_cofactor(n, ctx), label="C_n"
@@ -267,6 +276,7 @@ def build_Cn1(n, ctx):
     Q_1 = x - 1 over the integers.
     """
     check_n(n)
+    check_field(ctx)
     if n == 1:
         raise InvalidArgument(f"build_Cn1 needs n > 1, got {n}")
     if is_prime(n):
@@ -280,9 +290,10 @@ def build_Cn1(n, ctx):
 def build_repetition(n, ctx):
     """The [n, 1, n] repetition code, generated by 1 + x + ... + x^(n-1);
     its check polynomial is x - 1."""
-    if n < 1:
+    if is_int(n) and n < 1:  # compared only once known to be an int
         raise InvalidArgument(f"repetition code needs n >= 1, got {n}")
     check_n(n)
+    check_field(ctx)
     g = Poly(ctx, [1] * n)
     return CyclicCode._of(n, ctx, g, Poly.x_n_minus_1(ctx, 1), label="R_n")
 
@@ -296,6 +307,7 @@ def dual(c):
     x^n - 1 again: O(n) work, with no division.  h(0) and g(0) are nonzero
     as x does not divide x^n - 1, so h* and g* keep their degrees.
     """
+    _check_cyclic(c, "dual")
     if c._dual is None:
         h = reciprocal(c.g).scale(c.ctx.neg(c.h.constant_term()))
         d = CyclicCode._of(c.n, c.ctx, reciprocal(c.h).monic(), h, label=c.label + "^perp")
@@ -303,9 +315,16 @@ def dual(c):
     return c._dual
 
 
+def _check_cyclic(c, name):
+    if not isinstance(c, CyclicCode):
+        raise InvalidArgument(f"{name} needs a CyclicCode, got {type(c).__name__}")
+
+
 def _as_matrix(obj):
     if isinstance(obj, CyclicCode):
         return obj.generator_matrix()
+    if not isinstance(obj, GenMatrix):
+        raise InvalidArgument(f"expected a CyclicCode or GenMatrix, got {type(obj).__name__}")
     return obj
 
 
@@ -419,48 +438,67 @@ def _symbol_layout(m):
 
     def weigh(table, prefix):
         differs = table != prefix[..., None]
-        return differs.reshape(n, l, -1).any(axis=1).sum(axis=0, dtype=count)
+        if l > 1:  # a symbol differs where any of its l digits does
+            differs = differs.reshape(n, l, -1).any(axis=1)
+        return differs.view(np.uint8).sum(axis=0, dtype=count)
 
     return rows, add, weigh
 
 
 def _weights(m):
-    """Yield numpy arrays of codeword weights, one per step, over all nonzero
-    messages: the zero message, column 0 of the first step, is skipped.
+    """Yield (weights, multiplicity) per step: a numpy array of codeword
+    weights, each of which stands for multiplicity = q - 1 codewords.
 
-    Enumerates the message space over the prime subfield (same codeword set
-    as enumerating F_q^k); weights count nonzero F_q symbols.  The table has
-    one column per combination t of the leading rows; an odometer walks the
-    combinations s of the others, so t - s meets every codeword once, and a
-    step weighs every column of the table against s.  One walk serves every
-    field; _symbol_layout holds the rows as packed bit planes over p = 2 and
-    as digits otherwise.
+    The q - 1 nonzero multiples of a codeword share its weight (MacWilliams
+    & Sloane, ch. 1), so the walk weighs one message per class of
+    multiples: the one whose highest nonzero F_q-symbol is 1 (or -1, as
+    t - s below).  It enumerates over the prime subfield, a symbol being l
+    digit rows; weights count nonzero F_q symbols.  The table has one column
+    per combination t of the leading symbols, and the first step weighs, for
+    each table symbol j, the q^j columns with symbol j at 1 over every
+    combination below it; it comes as soon as those columns exist, so a walk
+    that stops there never builds the rest of the table.  Each later step
+    takes one high symbol at 1 and a combination of the high symbols below
+    it as s, walked by an odometer, and weighs every column of the table
+    against s, so t - s meets every other class once.  A zero code yields
+    nothing.  One walk serves every field; _symbol_layout holds the rows as
+    packed bit planes over p = 2 and as digits otherwise.
     """
-    p = m.ctx.p
+    p, q, l = m.ctx.p, m.ctx.q, m.ctx.l
     rows, add, weigh = _symbol_layout(m)
-    split = 1  # one row even if p > _LOW_TABLE: step 0 needs a nonzero message
-    while split < len(rows) and p ** (split + 1) <= _LOW_TABLE:
-        split += 1
+    k = len(rows) // l
+    if not k:
+        return
+    symbols = 1  # one symbol even if q > _LOW_TABLE: step 0 needs a message
+    while symbols < k and q ** (symbols + 1) <= _LOW_TABLE:
+        symbols += 1
     table = np.zeros(rows.shape[1:] + (1,), dtype=rows.dtype)
-    for row in rows[:split]:
-        blocks = [table]
-        for _ in range(p - 1):
+    leading = []
+    for i, row in enumerate(rows[: symbols * l]):
+        one = add(table, row[..., None])
+        if i % l == 0:  # symbol i // l at 1, over every combination below it
+            leading.append(one)
+        if i == (symbols - 1) * l:  # step 0 needs no more of the table
+            yield weigh(np.concatenate(leading, axis=-1), np.zeros_like(rows[0])), q - 1
+            if symbols == k:
+                return  # no high rows: the last symbol's other multiples go unused
+        blocks = [table, one]
+        for _ in range(p - 2):
             blocks.append(add(blocks[-1], row[..., None]))
         table = np.concatenate(blocks, axis=-1)
-    high = rows[split:]
-    digits = [0] * len(high)
-    prefix = np.zeros(rows.shape[1:], dtype=rows.dtype)
-    skip = 1  # column 0 with s = 0 is the zero message
-    while True:
-        yield weigh(table, prefix)[skip:]
-        skip = 0
-        for i, row in enumerate(high):
-            prefix = add(prefix, row)
-            digits[i] = (digits[i] + 1) % p
-            if digits[i]:
+    high = rows[symbols * l:]
+    for top in range(0, len(high), l):
+        prefix = high[top]
+        digits = [0] * top
+        while True:
+            yield weigh(table, prefix), q - 1
+            for i, row in enumerate(high[:top]):
+                prefix = add(prefix, row)
+                digits[i] = (digits[i] + 1) % p
+                if digits[i]:
+                    break
+            else:
                 break
-        else:
-            return
 
 
 def check_budget(budget, name="budget"):
@@ -480,7 +518,7 @@ def _basis_within_budget(c, budget):
     builds no matrix, and an accepted one reads its RREF off g.  A budget
     that check_budget refuses builds no matrix either."""
     check_budget(budget)
-    m = None if isinstance(c, CyclicCode) else c.rref()
+    m = None if isinstance(c, CyclicCode) else _as_matrix(c).rref()
     k = c.k if m is None else m.num_rows
     count = c.ctx.q ** k - 1
     if count > budget:
@@ -508,7 +546,7 @@ def min_distance(c, budget=DEFAULT_BUDGET):
     t0 = time.perf_counter()
     floor = 1 if (np.count_nonzero(m.rows, axis=1) == 1).any() else 2
     best = m.n
-    for weights in _weights(m):
+    for weights, _ in _weights(m):
         best = min(best, int(weights.min()))
         if best <= floor:
             break
@@ -526,8 +564,8 @@ def weight_distribution(c, budget=DEFAULT_BUDGET):
     m, _ = _basis_within_budget(c, budget)
     counts = np.zeros(m.n + 1, dtype=np.int64)
     counts[0] = 1  # the zero codeword, which the walk skips
-    for weights in _weights(m):
-        counts += np.bincount(weights, minlength=m.n + 1)
+    for weights, multiplicity in _weights(m):
+        counts += multiplicity * np.bincount(weights, minlength=m.n + 1)
     return [int(x) for x in counts]
 
 
@@ -537,6 +575,7 @@ def zeros_and_nonzeros(c):
     g is embedded into the splitting field F_{q^t} once and evaluated at one
     zeta^r per q-cyclotomic coset: g(zeta^(rq)) = g(zeta^r)^q, as g is over F_q.
     """
+    _check_cyclic(c, "zeros_and_nonzeros")
     n, ctx = c.n, c.ctx
     ext = make_extension(ctx, multiplicative_order_mod(ctx.q, n))
     big = ext.field

@@ -40,6 +40,12 @@ def check_n(n):
         raise InvalidArgument(f"n must be an integer >= 1, got {n!r}")
 
 
+def check_field(ctx, name="field"):
+    """Raise InvalidArgument unless ctx is a FieldCtx; the message calls it name."""
+    if not isinstance(ctx, FieldCtx):
+        raise InvalidArgument(f"{name} must be a FieldCtx, got {ctx!r}")
+
+
 def _read_only(self, *args):
     """__setattr__ and __delattr__ of the types whose values caches share."""
     raise CycloError(f"{type(self).__name__} is read-only")
@@ -345,14 +351,15 @@ def _extension_field(p, l):
     return FieldCtx(p) if l == 1 else FieldCtx(p, l, _canonical_modulus(p, l))
 
 
-@lru_cache(maxsize=None, typed=True)
 def make_extension(base, m):
     """F_{q^m} as a single F_p-extension of degree l*m, with base embedded.
 
-    Each (base, m) is built once, embedding included, and shared; typed, so
-    that m = 2.0 or True reaches the check rather than the entry of 2 or 1.
-    q^m may not exceed ROOT_SEARCH_LIMIT.
+    Each (base, m) is built once, embedding included, and shared.  The
+    arguments are checked before the cache is looked up, so an unhashable m
+    or base, or m = 2.0 or True, is refused rather than hashed or taken for
+    the entry of 2 or 1.  q^m may not exceed ROOT_SEARCH_LIMIT.
     """
+    check_field(base, "base")
     if not is_int(m):
         raise InvalidArgument(f"extension degree must be an integer, got m = {m!r}")
     if m < 1:
@@ -361,6 +368,12 @@ def make_extension(base, m):
         raise InvalidArgument(
             f"q^m = {base.q}^{m} exceeds the support cap {ROOT_SEARCH_LIMIT}"
         )
+    return _extension(base, m)
+
+
+@lru_cache(maxsize=None)
+def _extension(base, m):
+    """make_extension's shared build, for arguments it has checked."""
     big = base if m == 1 else _extension_field(base.p, base.l * m)
     if big is base or base.l == 1:  # base's elements encode as themselves in big
         return Extension(base, big)

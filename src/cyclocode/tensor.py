@@ -13,7 +13,10 @@ import time
 
 import numpy as np
 
-from . import codes
+# verify imports this module, so dual_cn_row is read off verify at call time;
+# binding the module here, not by a local import, keeps both from one import
+# of the package
+from . import codes, verify
 from .codes import GenMatrix, build_Cn, dual, same_code
 from .cyclotomic import profile
 from .errors import InvalidArgument
@@ -62,15 +65,13 @@ def verify_tensor_dual(n1, n2, ctx, budget=codes.DEFAULT_BUDGET):
     The claim, d and note are the CN-DUAL-DIST row, `verify.dual_cn_row`. The
     record fails if the codes differ; a d beyond the budget still passes.
     """
-    from .verify import dual_cn_row  # verify imports this module
-
     t0 = time.perf_counter()
     n = n1 * n2
     image = apply_psi(
         dual(build_Cn(n1, ctx)).generator_matrix(),
         dual(build_Cn(n2, ctx)).generator_matrix(),
     ).rref()
-    claimed, (_, _, d), status, note = dual_cn_row(ctx, profile(n), budget)
+    claimed, (_, _, d), status, note = verify.dual_cn_row(ctx, profile(n), budget)
     if not same_code(image, dual(build_Cn(n, ctx))):
         status = "fail"
     elif status == "skipped":

@@ -19,7 +19,7 @@ from helpers import (
     naive_weight_distribution,
 )
 
-from cyclocode import codes
+from cyclocode import codes, field
 from cyclocode.codes import (
     _LOW_TABLE,
     _prime_field_expansion,
@@ -453,6 +453,38 @@ def test_code_lengths_go_through_the_one_n_rule():
     assert build_Cn(7, F2) is c7 and build_repetition(1, F2) is r1
 
 
+# Each once ended in a TypeError from the builder's own comparison of n, or
+# an AttributeError from the field, before any check ran.
+@pytest.mark.parametrize("call,message", [
+    (lambda: build_Cn("a", F2), "n must be an integer >= 1"),
+    (lambda: build_Cn(None, F2), "n must be an integer >= 1"),
+    (lambda: build_Cn1("a", F2), "n must be an integer >= 1"),
+    (lambda: build_repetition("a", F2), "n must be an integer >= 1"),
+    (lambda: build_repetition(None, F2), "n must be an integer >= 1"),
+    (lambda: build_Cn(15, "x"), "field must be a FieldCtx, got 'x'"),
+    (lambda: build_Cn1(15, "x"), "field must be a FieldCtx, got 'x'"),
+    (lambda: build_repetition(15, None), "field must be a FieldCtx, got None"),
+])
+def test_builders_refuse_a_bad_n_or_field(call, message):
+    with pytest.raises(InvalidArgument, match=message):
+        call()
+
+
+# dual and zeros_and_nonzeros once read a GenMatrix as a code (an
+# AttributeError, and a gcd(2, 2) != 1 that named no matrix), and the walks
+# read a list as a matrix.
+@pytest.mark.parametrize("call,message", [
+    (lambda: dual(GenMatrix(F2, [[1, 1]])), "dual needs a CyclicCode, got GenMatrix"),
+    (lambda: zeros_and_nonzeros(GenMatrix(F2, [[1, 1]])), "zeros_and_nonzeros needs a CyclicCode"),
+    (lambda: min_distance([[1, 0]]), "expected a CyclicCode or GenMatrix, got list"),
+    (lambda: weight_distribution([[1, 0]]), "expected a CyclicCode or GenMatrix, got list"),
+    (lambda: same_code(build_Cn(3, F2), [[1, 0, 1]]), "expected a CyclicCode or GenMatrix"),
+])
+def test_code_functions_refuse_what_is_not_a_code(call, message):
+    with pytest.raises(InvalidArgument, match=message):
+        call()
+
+
 def test_genmatrix_rows_are_read_only():
     c = build_Cn(15, F2)
     given_rows = np.array([[1, 1, 0], [0, 1, 1]])
@@ -541,9 +573,9 @@ def test_weight_2_floor_stops_the_walk_after_one_step(monkeypatch):
     weights = codes._weights
 
     def counted(m):
-        for w in weights(m):
-            steps.append(len(w))
-            yield w
+        for step in weights(m):
+            steps.append(len(step[0]))
+            yield step
 
     monkeypatch.setattr(codes, "_weights", counted)
     r = min_distance(dual(build_Cn(23, F2)))  # k = 22: 2^9 steps of 2^13 codewords
@@ -653,9 +685,9 @@ def _any_divisor_codes(draw, literals):
 
 
 def _table_sizes(ctx):
-    """Enumeration tables of 1, 2 or 3 prime-field rows, so that small codes
-    walk many high-row steps, and the default one."""
-    return st.sampled_from([ctx.p, ctx.p ** 2, ctx.p ** 3, _LOW_TABLE])
+    """Enumeration tables of 1, 2 or 3 F_q-symbols, so that small codes walk
+    many high-symbol steps, and the default one."""
+    return st.sampled_from([ctx.q, ctx.q ** 2, ctx.q ** 3, _LOW_TABLE])
 
 
 @st.composite
@@ -727,6 +759,67 @@ def _systematic(p_part):
     """The rows of [I_k | P], given the k rows of P."""
     k = len(p_part)
     return [[int(i == j) for j in range(k)] + list(row) for i, row in enumerate(p_part)]
+
+
+# The largest q^k of a class-walk case per field, so that the oracle's q^k
+# messages stay few.  F_{2^10} has no tables, so it takes k = 1.
+_CLASS_WALK_CODEWORDS = {"3": 729, "2^2": 1024, "5": 625, "7": 343, "2^3": 512, "3^2": 729, "2^10": 1024}
+
+
+@st.composite
+def _class_walk_cases(draw):
+    """(field, rows, table size): a full-rank [I_k | P] over a field with
+    q > 2, and a table of 1, 2 or 3 symbols or the default one, so that the
+    walk has 0, 1 or several high symbols."""
+    literal = draw(st.sampled_from(sorted(_CLASS_WALK_CODEWORDS)))
+    ctx = parse_field(literal)
+    k = draw(st.integers(1, max(k for k in range(1, 8) if ctx.q ** k <= _CLASS_WALK_CODEWORDS[literal])))
+    r = draw(st.integers(0, 6))
+    entry = st.integers(0, ctx.q - 1)
+    p_part = draw(st.lists(st.lists(entry, min_size=r, max_size=r), min_size=k, max_size=k))
+    return literal, _systematic(p_part), draw(_table_sizes(ctx))
+
+
+# The examples walk 3, 2, 1 and 0 high symbols, the last two over the
+# characteristic-2 layouts, and 0 over the no-table F_{2^10}.
+@settings(max_examples=100, deadline=None)
+@given(_class_walk_cases())
+@example(("3", _systematic([[1, 2], [0, 1], [2, 2], [1, 1]]), 3))
+@example(("3^2", _systematic([[1, 5, 8], [0, 3, 1], [7, 0, 2]]), 9))
+@example(("2^2", _systematic([[1, 2, 3], [3, 0, 1]]), 4))
+@example(("2^3", _systematic([[5, 0, 7], [1, 6, 0], [2, 2, 3]]), _LOW_TABLE))
+@example(("2^10", _systematic([[0, 515, 0, 1023]]), 1024))
+def test_class_walk_matches_naive_oracle(case):
+    literal, rows, table = case
+    m = GenMatrix(parse_field(literal), rows)
+    with mock.patch.object(codes, "_LOW_TABLE", table):
+        assert weight_distribution(m) == naive_weight_distribution(m)
+        assert min_distance(m).d == naive_min_distance(m)
+
+
+@pytest.mark.parametrize("literal,k", [("3", 5), ("2^2", 4), ("7", 3), ("3^2", 3), ("2^3", 3), ("2", 6)])
+@pytest.mark.parametrize("symbols", [1, 2, 3])
+def test_class_walk_weighs_one_codeword_per_class(literal, k, symbols):
+    """(q^k - 1) / (q - 1) columns, each counted q - 1 times, in
+    1 + (q^h - 1) / (q - 1) steps for h high symbols."""
+    ctx = parse_field(literal)
+    rng = random.Random(k)
+    m = GenMatrix(ctx, _systematic([[rng.randrange(ctx.q) for _ in range(4)] for _ in range(k)]))
+    with mock.patch.object(codes, "_LOW_TABLE", ctx.q ** symbols):
+        steps = list(codes._weights(m))
+    q, h = ctx.q, k - symbols
+    assert {multiplicity for _, multiplicity in steps} == {q - 1}
+    assert sum(len(w) for w, _ in steps) == (q ** k - 1) // (q - 1)
+    assert len(steps) == 1 + (q ** h - 1) // (q - 1)
+
+
+@pytest.mark.parametrize("literal", ["2", "3", "3^2", "2^10"])
+def test_zero_code_walks_nothing(literal):
+    ctx = parse_field(literal)
+    zero = from_generator(Poly.x_n_minus_1(ctx, 5), 5)
+    assert list(codes._weights(zero.generator_matrix())) == []
+    assert weight_distribution(zero) == [1] + [0] * zero.n
+    assert weight_distribution(GenMatrix(ctx, [], n=2)) == [1, 0, 0]
 
 
 @st.composite
@@ -1002,7 +1095,7 @@ def test_zeros_and_nonzeros_evaluates_g_once_per_coset(literal, n):
 
 def test_zeros_in_the_field_itself_build_no_embedding_table(monkeypatch):
     c = build_Cn(3, parse_field("2^10"))  # 1024 = 1 mod 3: the splitting field is F_1024
-    make_extension.cache_clear()  # so make_extension(F_1024, 1) is built here
+    field._extension.cache_clear()  # so make_extension(F_1024, 1) is built here
     calls = []
     mul = FieldCtx.mul
     monkeypatch.setattr(FieldCtx, "mul", lambda ctx, a, b: calls.append(1) or mul(ctx, a, b))

@@ -162,12 +162,30 @@ def test_make_extension_refuses_a_degree_that_is_not_an_integer(m):
     assert str(exc.value) == f"extension degree must be an integer, got m = {m!r}"
 
 
+# Each once ended in "TypeError: unhashable type" from the cache, or an
+# AttributeError from a base that is not a field; the arguments are checked
+# before the cache is looked up.
+@pytest.mark.parametrize("base,m,message", [
+    (make_prime_field(2), [2], "extension degree must be an integer, got m = [2]"),
+    (make_prime_field(2), {2: 1}, "extension degree must be an integer"),
+    ([2], 2, "base must be a FieldCtx, got [2]"),
+    ({}, 2, "base must be a FieldCtx"),
+    ("x", 2, "base must be a FieldCtx, got 'x'"),
+])
+def test_make_extension_checks_its_arguments_before_the_cache(base, m, message):
+    with pytest.raises(InvalidArgument) as exc:
+        make_extension(base, m)
+    assert str(exc.value).startswith(message)
+
+
 class _OrderThatMustNotBeRaised(int):
     def __pow__(self, e):
         raise AssertionError(f"q^m computed for m = {e}")
 
 
-class _BaseOfOrder3:
+class _BaseOfOrder3(FieldCtx):
+    """A FieldCtx, as make_extension checks, that builds nothing."""
+    __init__ = object.__init__
     p, l, q = 3, 1, _OrderThatMustNotBeRaised(3)
 
 

@@ -646,6 +646,7 @@ _GOLDEN = pathlib.Path(__file__).parent / "data"
 @pytest.mark.parametrize("name,argv", [
     ("default-sweep.csv", ["verify", "sweep"]),
     ("conjecture-24.csv", ["conjecture", "run", "--n-max", "24"]),
+    ("conjecture-40.csv", ["conjecture", "run", "--n-max", "40"]),
 ])
 def test_deterministic_reports_match_the_golden_files(tmp_path, name, argv):
     out = tmp_path / name
