@@ -32,7 +32,7 @@ or a field with InvalidArgument.
 
 import time
 from dataclasses import asdict, dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -238,8 +238,8 @@ def from_generator(g, n, label=""):
     Divides x^n - 1 by g to check g and find h; the builders and dual below
     know h already and do not come here.
     """
-    if g.is_zero or not g.is_monic:
-        raise InvalidArgument("generator must be monic and nonzero")
+    if not isinstance(g, Poly) or not g.is_monic:
+        raise InvalidArgument("generator must be a monic nonzero Poly")
     xn1 = Poly.x_n_minus_1(g.ctx, n)
     h, r = divmod(xn1, g)
     if not r.is_zero:
@@ -247,20 +247,31 @@ def from_generator(g, n, label=""):
     return CyclicCode._of(n, g.ctx, g, h, label=label)
 
 
-# Each builder shares one code per (n, field), with its matrix and dual, among
-# its last 32 (n, field): the sweep configs in perfbench/configs and the
-# default sweep build no generator matrix twice with 32, and 64 held
-# 0.5-0.7 MB more peak memory.  typed: 7.0 == 7, and a float n must reach
-# the check of n, not C_7's entry.
-@lru_cache(maxsize=32, typed=True)
+def _shared(build):
+    """build(n, ctx) behind check_n and check_field, then a cache that shares
+    one code per (n, field), with its matrix and dual, among its last 32: the
+    sweep configs in perfbench/configs and the default sweep build no
+    generator matrix twice with 32, and 64 held 0.5-0.7 MB more peak memory.
+    The checks come first, so an unhashable n or field is refused, not hashed."""
+    cached = lru_cache(maxsize=32, typed=True)(build)
+
+    @wraps(build)
+    def checked(n, ctx):
+        check_n(n)
+        check_field(ctx)
+        return cached(n, ctx)
+
+    checked.cache_clear = cached.cache_clear
+    return checked
+
+
+@_shared
 def build_Cn(n, ctx):
     """The code generated by Q_n; an [n, n - phi(n)] code.
 
     Its check polynomial is the cofactor prod_{d | n, d < n} Q_d, formed over
     the integers where Q_n was divided out of x^n - 1 exactly.
     """
-    check_n(n)
-    check_field(ctx)
     if n == 1:
         raise InvalidArgument(f"build_Cn needs n > 1, got {n}")
     return CyclicCode._of(
@@ -268,15 +279,13 @@ def build_Cn(n, ctx):
     )
 
 
-@lru_cache(maxsize=32, typed=True)
+@_shared
 def build_Cn1(n, ctx):
     """The code generated by Q_n * Q_1; defined for composite n only.
 
     Its check polynomial is the cofactor of Q_n divided exactly by
     Q_1 = x - 1 over the integers.
     """
-    check_n(n)
-    check_field(ctx)
     if n == 1:
         raise InvalidArgument(f"build_Cn1 needs n > 1, got {n}")
     if is_prime(n):
@@ -286,14 +295,10 @@ def build_Cn1(n, ctx):
     return CyclicCode._of(n, ctx, g, h, label="C_{n,1}")
 
 
-@lru_cache(maxsize=32, typed=True)
+@_shared
 def build_repetition(n, ctx):
     """The [n, 1, n] repetition code, generated by 1 + x + ... + x^(n-1);
     its check polynomial is x - 1."""
-    if is_int(n) and n < 1:  # compared only once known to be an int
-        raise InvalidArgument(f"repetition code needs n >= 1, got {n}")
-    check_n(n)
-    check_field(ctx)
     g = Poly(ctx, [1] * n)
     return CyclicCode._of(n, ctx, g, Poly.x_n_minus_1(ctx, 1), label="R_n")
 
@@ -351,16 +356,11 @@ def _pivot_columns(m):
 
 def _clear(ctx, rows, cols, basis):
     """rows - rows[:, cols] . basis over F_q: rows cleared on cols, the pivot
-    columns of the canonical rows basis.  The products are mul_array of the
-    negated coefficients; the base-p digits of encodings add independently,
-    so the products are summed digit by digit mod p, and one add_array adds
-    that sum to rows."""
-    p = ctx.p
-    minus = ctx.mul_array(p - 1, rows[:, cols])
+    columns of the canonical rows basis, by one sum_array of the products of
+    the negated coefficients, added to rows by one add_array."""
+    minus = ctx.mul_array(ctx.p - 1, rows[:, cols])
     products = ctx.mul_array(minus[:, :, None], basis[None, :, :])
-    places = p ** np.arange(ctx.l, dtype=np.int64)
-    digits = products[..., None] // places % p
-    return ctx.add_array(rows, (digits.sum(axis=1) % p) @ places)
+    return ctx.add_array(rows, ctx.sum_array(products, axis=1))
 
 
 def sum_codes(a, b):
@@ -385,25 +385,9 @@ def sum_codes(a, b):
 
 # -- exhaustive enumeration ----------------------------------------------------
 
-def _prime_field_expansion(m):
-    """Expand a k x n matrix over F_{p^l} to a (k*l) x (n*l) matrix over F_p.
-
-    Entries use the smallest unsigned dtype that holds a sum of two of them,
-    uint8 for every p <= 128.
-    """
-    ctx = m.ctx
-    p, l = ctx.p, ctx.l
-    places = p ** np.arange(l, dtype=np.int64)
-    # multiples[r, s, j] = u^s * m[r, j]; digit t of each is column j*l + t
-    multiples = ctx.mul_array(places[None, :, None], m.rows[:, None, :])
-    digits = multiples[..., None] // places % p
-    out = digits.reshape(m.num_rows * l, m.n * l)
-    return out.astype(np.min_scalar_type(2 * (p - 1)))
-
-
 def _symbol_layout(m):
-    """The prime-field expansion of m in the layout that _weights walks,
-    with the add of two rows and the weights of a table's columns.
+    """The prime-field expansion of m by FieldCtx.expand, in the layout that
+    _weights walks, with the add of two rows and the weights of a table's columns.
 
     Over p = 2 each row is l bit planes, plane t holding digit t of the n
     symbols as n bits packed little-endian into W = ceil(n / 64) uint64 words
@@ -415,7 +399,7 @@ def _symbol_layout(m):
     have the same digits.
     """
     p, l, n = m.ctx.p, m.ctx.l, m.n
-    rows = _prime_field_expansion(m)
+    rows = m.ctx.expand(m.rows)
     count = np.min_scalar_type(n)
     if p == 2:
         planes = rows.reshape(len(rows), n, l).transpose(0, 2, 1)

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 from .errors import CycloError, InvalidArgument
-from .field import _int_mul, check_n, factorize, make_extension, nth_root_of_unity
+from .field import _int_mul, check_n, factorize, is_int, make_extension, nth_root_of_unity
 from .poly import Poly
 
 
@@ -146,7 +146,7 @@ def _coset(s, n, q):
     """The sorted q-cyclotomic coset of s, from the one walk s, sq, sq^2, ... mod n;
     its checks (integers, n >= 1, gcd(n, q) = 1) make the walk return to s."""
     check_n(n)
-    if not isinstance(s, int) or not isinstance(q, int):
+    if not (is_int(s) and is_int(q)):
         raise InvalidArgument(f"s and q must be integers, got {s!r} and {q!r}")
     if math.gcd(n, q) != 1:
         raise InvalidArgument(f"gcd({n}, {q}) != 1")

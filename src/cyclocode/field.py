@@ -114,6 +114,18 @@ def _from_digits(digits, p):
     return v
 
 
+def _digit_array(v, p, l):
+    """Array form of _digits: the l base-p digits of each element of v, as
+    int64, ascending along a new last axis."""
+    return np.asarray(v)[..., None] // p ** np.arange(l, dtype=np.int64) % p
+
+
+def _from_digit_array(digits, p):
+    """Array form of _from_digits: the elements whose ascending base-p digits,
+    along the last axis, are digits reduced mod p."""
+    return digits % p @ p ** np.arange(digits.shape[-1], dtype=np.int64)
+
+
 def _digit_sum(a, b, p):
     """(a + b) mod p for unsigned arrays of digits below p, in a dtype that
     holds 2(p - 1), with no integer division: s = a + b is below 2p, and
@@ -123,8 +135,15 @@ def _digit_sum(a, b, p):
 
 
 class FieldCtx:
-    """A concrete finite field F_{p^l}; immutable after construction."""
+    """A concrete finite field F_{p^l}; immutable after construction.
+
+    Without a modulus, F_{p^l} is built on _canonical_modulus(p, l), the
+    shared field that parse_field and make_extension return; a modulus the
+    caller passes must pass Rabin's test, at every order.
+    """
     __setattr__ = __delattr__ = _read_only
+    # fields above TABLE_LIMIT keep these; _build_tables and primitive_element set them
+    _add_table = _mul_table = _add_array = _mul_array = _primitive = None
 
     def __init__(self, p, l=1, modulus=None):
         _check_prime(p, l)
@@ -132,43 +151,32 @@ class FieldCtx:
         object.__setattr__(self, "l", l)
         object.__setattr__(self, "q", p ** l)
         if l == 1:
-            object.__setattr__(self, "modulus", None)
+            modulus = None
+        elif modulus is None:
+            modulus = _canonical_modulus(p, l)
         else:
-            if modulus is None or len(modulus) != l + 1 or modulus[-1] != 1:
+            if len(modulus) != l + 1 or modulus[-1] != 1:
                 raise InvalidArgument("modulus must be monic of degree l")
             if not all(is_int(c) for c in modulus):
                 raise InvalidArgument(f"modulus coefficients must be integers, got {modulus!r}")
-            object.__setattr__(self, "modulus", tuple(c % p for c in modulus[:-1]) + (1,))
-            if self.q > TABLE_LIMIT:
-                self._check_irreducible()
-        object.__setattr__(self, "_add_table", None)
-        object.__setattr__(self, "_mul_table", None)
-        object.__setattr__(self, "_add_array", None)
-        object.__setattr__(self, "_mul_array", None)
-        object.__setattr__(self, "_primitive", None)
-        if self.q <= TABLE_LIMIT:
-            self._build_tables()
+            modulus = tuple(c % p for c in modulus[:-1]) + (1,)
+            from .poly import Poly, is_irreducible
 
-    def _check_irreducible(self):
-        """Rabin's test on the modulus. Below TABLE_LIMIT the table build finds
-        a reducible one out, as it has no primitive element; above, nothing
-        else would, and the context would silently be a ring."""
-        from .poly import Poly, is_irreducible
-
-        if not is_irreducible(Poly(make_prime_field(self.p), self.modulus)):
-            raise InvalidArgument(
-                f"modulus {self.modulus} is not irreducible over F_{self.p}"
-            )
+            if not is_irreducible(Poly(make_prime_field(p), modulus)):
+                raise InvalidArgument(f"modulus {modulus} is not irreducible over F_{p}")
+        object.__setattr__(self, "modulus", modulus)
+        self._build_tables()
 
     # -- arithmetic -------------------------------------------------------
 
     def _build_tables(self):
-        """Fill the q x q add/mul tables from the log/antilog of gamma.
+        """Fill the q x q add/mul tables from the log/antilog of gamma, for a
+        field of order up to TABLE_LIMIT; a larger one keeps no tables.
 
         gamma = primitive_element() is found by digit arithmetic, as no table
-        is set yet; it raises for a reducible modulus. a -> a*gamma is
-        F_p-linear, so its image of all q elements is one digit-matrix product
-        mod p, from the l products gamma*u^j; exp[i] = gamma^i is the walk
+        is set yet. a -> a*gamma is F_p-linear, so its image of all q elements
+        is one digit-matrix product mod p, by expand([[gamma]]), the digits of
+        the l products gamma*u^j; exp[i] = gamma^i is the walk
         1 -> gamma -> gamma^2 ... over that permutation, and log is its
         inverse, so a*b = exp[(log a + log b) mod (q - 1)] for nonzero a, b.
         Sums act digit by digit: XOR for p = 2, otherwise _digit_sum of one
@@ -177,13 +185,13 @@ class FieldCtx:
         lists, so add/mul stay one list index.
         """
         q, p, l = self.q, self.p, self.l
+        if q > TABLE_LIMIT:
+            return
         gamma = self.primitive_element()
         # log sums and digit sums reach 2(q - 2), so hold them in a type for 2q
         dt = np.min_scalar_type(2 * q)
-        digits = np.indices((p,) * l, dtype=dt).reshape(l, q)[::-1]  # [t, a]: digit t of a
-        places = [p ** t for t in range(l)]
-        image = [_digits(self._mul_raw(u, gamma), p, l) for u in places]
-        times = (digits.T.astype(np.int64) @ image % p @ places).tolist()
+        digits = _digit_array(np.arange(q), p, l)  # [a, t]: digit t of a
+        times = _from_digit_array(digits @ self.expand([[gamma]]), p).tolist()
         exp = [1]
         for _ in range(q - 2):
             exp.append(times[exp[-1]])
@@ -198,8 +206,8 @@ class FieldCtx:
             add = np.bitwise_xor.outer(elems, elems)
         else:
             add = np.zeros((q, q), dtype=dt)
-            for place, digit in zip(places, digits):
-                add += _digit_sum(digit[:, None], digit, p) * place
+            for t, digit in enumerate(digits.T.astype(dt)):
+                add += _digit_sum(digit[:, None], digit, p) * p ** t
         elem = np.min_scalar_type(q - 1)
         object.__setattr__(self, "_add_array", add.astype(elem))
         object.__setattr__(self, "_mul_array", mul.astype(elem))
@@ -252,7 +260,26 @@ class FieldCtx:
             return self._mul_array[a, b]
         return np.frompyfunc(self.mul, 2, 1)(a, b).astype(np.int64)
 
+    def sum_array(self, a, axis):
+        """The F_q sum of an array of elements along axis: the base-p digits
+        of the elements add independently, so their sums are taken mod p."""
+        digits = _digit_array(a, self.p, self.l)  # on a new last axis, so axis >= 0 still counts
+        return _from_digit_array(digits.sum(axis=axis % np.ndim(a)), self.p)
+
+    def expand(self, rows):
+        """The k x n array rows over F_{p^l} as the (k l) x (n l) array over
+        F_p of its digits: row r l + s, column j l + t holds digit t of
+        u^s * rows[r, j].  Entries use the smallest unsigned dtype that holds
+        a sum of two of them, uint8 for every p <= 128."""
+        p, l = self.p, self.l
+        rows = np.asarray(rows)
+        multiples = self.mul_array(p ** np.arange(l)[:, None], rows[:, None, :])  # [r, s, j]
+        digits = _digit_array(multiples, p, l).reshape(len(rows) * l, rows.shape[1] * l)
+        return digits.astype(np.min_scalar_type(2 * (p - 1)))
+
     def pow(self, a, e):
+        if not (is_int(a) and 0 <= a < self.q):
+            raise InvalidArgument(f"{a!r} is not an element of {self!r}")
         if not is_int(e):
             raise InvalidArgument(f"exponent must be an integer, got {e!r}")
         if e < 0:
@@ -269,7 +296,7 @@ class FieldCtx:
 
     def primitive_element(self):
         """Canonically-least a with a^(q-1) = 1 and a^((q-1)/r) != 1 for each
-        prime r | q - 1; none exists when the modulus is reducible."""
+        prime r | q - 1; one exists, as the modulus is irreducible."""
         if self._primitive is None:
             e = self.q - 1
             primes = [r for r, _ in factorize(e)] if e > 1 else []
@@ -278,7 +305,7 @@ class FieldCtx:
                     object.__setattr__(self, "_primitive", a)
                     break
             else:
-                raise InvalidArgument(f"modulus {self.modulus} is not irreducible over F_{self.p}")
+                raise CycloError(f"{self!r} has no primitive element")  # unreachable
         return self._primitive
 
     # -- identity ----------------------------------------------------------
@@ -293,9 +320,7 @@ class FieldCtx:
         return hash(self._key())
 
     def __repr__(self):
-        if self.l == 1:
-            return f"F_{self.p}"
-        return f"F_{self.p}^{self.l}"
+        return f"F_{self.literal()}"
 
     def literal(self):
         return str(self.p) if self.l == 1 else f"{self.p}^{self.l}"
@@ -337,7 +362,6 @@ def _canonical_modulus(p, d):
     """
     from .poly import Poly, is_irreducible
 
-    _check_prime(p, d)  # before F_p is built, so that the hint names F_(p^d)
     ctx = make_prime_field(p)
     for low in range(p ** d):
         f = Poly._of(ctx, _digits(low, p, d) + [1])
@@ -346,9 +370,8 @@ def _canonical_modulus(p, d):
     raise CycloError("no irreducible polynomial found")  # unreachable
 
 
-@lru_cache(maxsize=None)
-def _extension_field(p, l):
-    return FieldCtx(p) if l == 1 else FieldCtx(p, l, _canonical_modulus(p, l))
+# The shared F_(p^l): one FieldCtx(p, l) per (p, l), on its canonical modulus.
+_extension_field = lru_cache(maxsize=None)(FieldCtx)
 
 
 def make_extension(base, m):

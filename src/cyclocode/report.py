@@ -9,21 +9,6 @@ from .errors import CycloError
 
 FORMATS = ("csv", "json")
 
-CSV_COLUMNS = [
-    "theorem_id",
-    "q",
-    "n",
-    "n1",
-    "n2",
-    "claimed_n",
-    "claimed_k",
-    "claimed_d",
-    "measured_n",
-    "measured_k",
-    "measured_d",
-    "status",
-    "elapsed_s",
-]
 
 @dataclass
 class VerificationRecord:
@@ -60,11 +45,16 @@ class VerificationRecord:
         return ["" if v is None else v for v in flat] + [f"{self.elapsed:.3f}"]
 
 
-# One record as json.dumps(records, indent=2) writes it, with to_dict's keys;
-# _json_record fills in the values in that order.
-_JSON_RECORD = "  {{\n" + ",\n".join(
-    f'    "{key}": {{}}' for key in VerificationRecord("", 0).to_dict()
-) + "\n  }}"
+# The record layout, read off to_dict's keys. The CSV header spreads each
+# (n, k, d) triple over three columns and leaves out the note, as to_csv_row
+# does; _JSON_RECORD is one record as json.dumps(records, indent=2) writes it,
+# which _json_record fills in with the values in that order.
+_LAYOUT = VerificationRecord("", 0).to_dict()
+CSV_COLUMNS = [
+    column for key, value in _LAYOUT.items() if key != "note"
+    for column in ([f"{key}_{x}" for x in "nkd"] if isinstance(value, list) else [key])
+]
+_JSON_RECORD = "  {{\n" + ",\n".join(f'    "{key}": {{}}' for key in _LAYOUT) + "\n  }}"
 
 
 def _json_value(v):

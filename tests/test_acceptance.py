@@ -217,13 +217,13 @@ def test_criterion_8_conjecture_observed_only():
     _report("8 conjecture checker (observed only)", observed > 0, f"({observed} observed rows)")
 
 
-def test_criterion_9_gray_kernel_performance():
+def test_criterion_9_exhaustive_walk_performance():
     code = dual(build_Cn(35, make_prime_field(2)))  # k = phi(35) = 24
     assert code.k == 24
     rep = min_distance(code)
     assert rep.codewords_enumerated == 2 ** 24 - 1
     assert rep.d == 4
     _report(
-        "9 Gray kernel 2^24 codewords", rep.elapsed < 60.0,
+        "9 exhaustive walk 2^24 codewords", rep.elapsed < 60.0,
         f"({rep.elapsed:.1f}s, d={rep.d})",
     )

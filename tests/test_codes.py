@@ -22,7 +22,6 @@ from helpers import (
 from cyclocode import codes, field
 from cyclocode.codes import (
     _LOW_TABLE,
-    _prime_field_expansion,
     MAX_BUDGET,
     CyclicCode,
     GenMatrix,
@@ -144,7 +143,7 @@ def test_repetition_code():
     assert (d.n, d.k) == (5, 4)
     assert min_distance(d).d == 2
     assert build_repetition(1, F3).k == 1
-    with pytest.raises(InvalidArgument, match="needs n >= 1"):
+    with pytest.raises(InvalidArgument, match="n must be an integer >= 1, got 0"):
         build_repetition(0, F2)
 
 
@@ -453,9 +452,15 @@ def test_code_lengths_go_through_the_one_n_rule():
     assert build_Cn(7, F2) is c7 and build_repetition(1, F2) is r1
 
 
-# Each once ended in a TypeError from the builder's own comparison of n, or
-# an AttributeError from the field, before any check ran.
+# Each once ended in a TypeError from the builder's own comparison of n or
+# from its cache, which hashed an unhashable n or field, or an AttributeError
+# from the field or from g, before any check ran.
 @pytest.mark.parametrize("call,message", [
+    (lambda: build_Cn([15], F2), "n must be an integer >= 1"),
+    (lambda: build_Cn1(15, [2]), r"field must be a FieldCtx, got \[2\]"),
+    (lambda: build_repetition({}, F2), "n must be an integer >= 1"),
+    (lambda: from_generator("x", 5), "generator must be a monic nonzero Poly"),
+    (lambda: from_generator(None, 5), "generator must be a monic nonzero Poly"),
     (lambda: build_Cn("a", F2), "n must be an integer >= 1"),
     (lambda: build_Cn(None, F2), "n must be an integer >= 1"),
     (lambda: build_Cn1("a", F2), "n must be an integer >= 1"),
@@ -987,7 +992,7 @@ def test_prime_field_expansion_matches_scalar_oracle(literal):
     rng = random.Random(13)
     for k, n in [(4, 6), (1, 1), (0, 3), (2, 0)]:
         rows = [[rng.randrange(ctx.q) for _ in range(n)] for _ in range(k)]
-        out = _prime_field_expansion(GenMatrix(ctx, rows, n=n))
+        out = ctx.expand(GenMatrix(ctx, rows, n=n).rows)
         assert out.shape == (k * ctx.l, n * ctx.l) and out.dtype == np.uint8
         assert out.tolist() == naive_prime_field_expansion(ctx, rows)
 

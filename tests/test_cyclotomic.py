@@ -199,7 +199,9 @@ def test_profile_and_q_n_refuse_n_that_is_not_an_integer_at_least_1(call):
     lambda: minimal_poly(1.5, 7, F2),  # 1.5 q^j mod 7 never comes back to 1.5
     lambda: cosets(7, 2.0),
     lambda: multiplicative_order_mod("2", 7),
-], ids=["minimal-poly-s-float", "cosets-q-float", "order-q-str"])
+    lambda: cosets(5, True),  # once five singleton cosets
+    lambda: multiplicative_order_mod(True, 5),  # once 1
+], ids=["minimal-poly-s-float", "cosets-q-float", "order-q-str", "cosets-q-bool", "order-q-bool"])
 def test_coset_walk_refuses_s_or_q_that_is_not_an_integer(call):
     with pytest.raises(InvalidArgument, match="s and q must be integers"):
         call()

@@ -1,3 +1,4 @@
+import functools
 import random
 from unittest import mock
 
@@ -17,6 +18,7 @@ from cyclocode.field import (
     nth_root_of_unity,
     parse_field,
 )
+from cyclocode.poly import is_irreducible
 from helpers import naive_field_add, naive_field_mul
 
 # Table fields: every pair is checked up to q = 64, seeded pairs above.
@@ -72,6 +74,18 @@ def test_pow_refuses_an_exponent_that_is_not_an_integer(e):
     with pytest.raises(InvalidArgument) as exc:
         make_prime_field(5).pow(3, e)
     assert str(exc.value) == f"exponent must be an integer, got {e!r}"
+
+
+@pytest.mark.parametrize("literal,a", [
+    ("7", 9), ("7", 7), ("7", -1), ("2^2", 4), ("2^10", 1024), ("5", 2.0), ("5", True),
+])
+def test_pow_refuses_a_base_that_is_not_an_element(literal, a):
+    # pow(9, 2) and pow(7, 1) over F_7 once ended in an IndexError
+    ctx = parse_field(literal)
+    for e in (2, 1, 0):
+        with pytest.raises(InvalidArgument) as exc:
+            ctx.pow(a, e)
+        assert str(exc.value) == f"{a!r} is not an element of {ctx!r}"
 
 
 @pytest.mark.parametrize("literal", TABLE_FIELDS)
@@ -360,10 +374,9 @@ def test_prime_power_literal_names_its_field(literal, message):
     assert str(exc.value) == message
 
 
-# Every reducible modulus is refused when the context is made. The degree-10
-# ones, x^10, (x^5 + 1)^2 and (x^2 + x + 1)(x^8 + x^7 + x^5 + x^4 + x^3 + x + 1),
-# give contexts above TABLE_LIMIT, which build no tables, so Rabin's test
-# finds them out rather than the search for a primitive element.
+# Every reducible modulus is refused by Rabin's test when the context is
+# made, at every order: the degree-10 ones, x^10, (x^5 + 1)^2 and
+# (x^2 + x + 1)(x^8 + x^7 + x^5 + x^4 + x^3 + x + 1), give fields without tables.
 @pytest.mark.parametrize("p,modulus", [
     (2, (1, 0, 1)), (2, (0, 0, 1)), (3, (2, 0, 1)),
     (2, (0,) * 10 + (1,)), (2, (1,) + (0,) * 9 + (1,)), (2, (1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1)),
@@ -373,15 +386,37 @@ def test_reducible_modulus_rejected(p, modulus):
         FieldCtx(p, len(modulus) - 1, modulus)
 
 
-@pytest.mark.parametrize("l,modulus", [(2, (1, 1)), (2, (1, 1, 0, 1)), (2, (1, 1, 2)), (3, None)])
+@pytest.mark.parametrize("l,modulus", [(2, (1, 1)), (2, (1, 1, 0, 1)), (2, (1, 1, 2))])
 def test_modulus_must_be_monic_of_degree_l(l, modulus):
     with pytest.raises(InvalidArgument, match="monic of degree l"):
         FieldCtx(2, l, modulus)
 
 
+@pytest.mark.parametrize("literal", TABLE_FIELDS)
+def test_field_without_a_modulus_is_the_canonical_field(literal):
+    # FieldCtx(2, 3) once refused to build F_8 without a modulus
+    shared = parse_field(literal)
+    ctx = FieldCtx(shared.p, shared.l)
+    assert ctx is not shared and ctx == shared
+    assert ctx.modulus == shared.modulus
+    assert ctx.primitive_element() == shared.primitive_element()
+    for name in ("_add_array", "_mul_array"):
+        mine, theirs = getattr(ctx, name), getattr(shared, name)
+        assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+
+
+def test_canonical_field_runs_rabins_test_only_to_find_its_modulus():
+    # a canonical modulus above TABLE_LIMIT was once tested twice
+    with mock.patch("cyclocode.poly.is_irreducible", wraps=is_irreducible) as alone:
+        assert _canonical_modulus(2, 10) == (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1)
+    with mock.patch("cyclocode.poly.is_irreducible", wraps=is_irreducible) as built:
+        FieldCtx(2, 10)
+    assert built.call_count == alone.call_count > 0
+
+
 @pytest.mark.parametrize("p,modulus", [
     (2, (1.0, 1, 1)), (2, (1.5, 1, 1)), (2, (1, True, 1)), (2, (1, 1, 1.0)), (3, ("2", 0, 1)),
-    (2, (1.0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1)),  # above TABLE_LIMIT, before Rabin's test
+    (2, (1.0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1)),  # refused before Rabin's test
 ])
 def test_modulus_coefficients_must_be_integers(p, modulus):
     # (1.0, 1, 1) once ended in a TypeError, and (1.5, 1, 1) was "not irreducible"
@@ -430,7 +465,7 @@ def test_canonical_modulus_matches_trial_division(p, d):
 
 @pytest.mark.parametrize("p,dtype", [(3, np.uint8), (127, np.uint8), (131, np.uint16)])
 def test_digit_sum_matches_mod_p_at_the_dtype_edge(p, dtype):
-    # the dtype _prime_field_expansion picks: 127 is the largest p whose
+    # the dtype FieldCtx.expand picks: 127 is the largest p whose
     # digit sums fit uint8, so its s - p wraps at 256
     assert np.min_scalar_type(2 * (p - 1)) == dtype
     digits = np.arange(p, dtype=dtype)
@@ -543,3 +578,6 @@ def test_array_arithmetic_matches_scalar(literal):
         assert got.shape == a.shape
         assert got.tolist() == [[op(int(x), int(y)) for x, y in zip(row, b)] for row in a]
         assert array_op(s, b).tolist() == [op(s, int(y)) for y in b]
+    for axis, lines in ((0, a.T), (1, a), (-1, a)):  # sum_array folds add along axis
+        assert ctx.sum_array(a, axis).tolist() == [functools.reduce(ctx.add, map(int, line), 0)
+                                                   for line in lines]
