@@ -142,7 +142,7 @@ class FieldCtx:
     caller passes must pass Rabin's test, at every order.
     """
     __setattr__ = __delattr__ = _read_only
-    # fields above TABLE_LIMIT keep these; _build_tables and primitive_element set them
+    # None until set: the tables by _build_tables, up to TABLE_LIMIT; gamma on first use
     _add_table = _mul_table = _add_array = _mul_array = _primitive = None
 
     def __init__(self, p, l=1, modulus=None):
@@ -155,7 +155,7 @@ class FieldCtx:
         elif modulus is None:
             modulus = _canonical_modulus(p, l)
         else:
-            if len(modulus) != l + 1 or modulus[-1] != 1:
+            if not isinstance(modulus, (tuple, list)) or len(modulus) != l + 1 or modulus[-1] != 1:
                 raise InvalidArgument("modulus must be monic of degree l")
             if not all(is_int(c) for c in modulus):
                 raise InvalidArgument(f"modulus coefficients must be integers, got {modulus!r}")
@@ -264,7 +264,7 @@ class FieldCtx:
         """The F_q sum of an array of elements along axis: the base-p digits
         of the elements add independently, so their sums are taken mod p."""
         digits = _digit_array(a, self.p, self.l)  # on a new last axis, so axis >= 0 still counts
-        return _from_digit_array(digits.sum(axis=axis % np.ndim(a)), self.p)
+        return _from_digit_array(digits.sum(axis=axis % (digits.ndim - 1)), self.p)
 
     def expand(self, rows):
         """The k x n array rows over F_{p^l} as the (k l) x (n l) array over

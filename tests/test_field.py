@@ -386,7 +386,10 @@ def test_reducible_modulus_rejected(p, modulus):
         FieldCtx(p, len(modulus) - 1, modulus)
 
 
-@pytest.mark.parametrize("l,modulus", [(2, (1, 1)), (2, (1, 1, 0, 1)), (2, (1, 1, 2))])
+@pytest.mark.parametrize("l,modulus", [
+    (2, (1, 1)), (2, (1, 1, 0, 1)), (2, (1, 1, 2)),
+    (3, 5),  # once a TypeError from len
+])
 def test_modulus_must_be_monic_of_degree_l(l, modulus):
     with pytest.raises(InvalidArgument, match="monic of degree l"):
         FieldCtx(2, l, modulus)
