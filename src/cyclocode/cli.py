@@ -12,12 +12,13 @@ Verbs:
 and --deterministic. `verify tensor` prints one JSON record and refuses them.
 `code` takes --kind or --gen, not both.
 
-Exit codes: 0 = no failing record, 1 = at least one fail, 2 = config error
-or a refused command line.
+Exit codes: 0 = no failing record, 1 = at least one fail or stdout closed
+early, 2 = config error or a refused command line.
 """
 
 import argparse
 import json
+import os
 import sys
 
 from . import codes
@@ -174,7 +175,12 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that left early shows here, not at exit
+        return code
+    except BrokenPipeError:  # the reader left; per Python's SIGPIPE note, devnull takes the rest
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -22,8 +22,9 @@ from .errors import CycloError, InvalidArgument
 # F_{2^9}, take 15-20x as long.
 TABLE_LIMIT = 512
 
-# Support contract: a context itself never exceeds 2^16 elements unless it
-# was created as an ambient extension for root searches, capped at 2^24.
+# Support contract: FieldCtx(p, l) is always the canonical F_(p^l), and two caps
+# decide which fields exist: parse_field and make_prime_field name fields of at
+# most 2^16 elements; FieldCtx and make_extension build them up to 2^24.
 CONTEXT_LIMIT = 1 << 16
 ROOT_SEARCH_LIMIT = 1 << 24
 
@@ -135,36 +136,20 @@ def _digit_sum(a, b, p):
 
 
 class FieldCtx:
-    """A concrete finite field F_{p^l}; immutable after construction.
-
-    Without a modulus, F_{p^l} is built on _canonical_modulus(p, l), the
-    shared field that parse_field and make_extension return; a modulus the
-    caller passes must pass Rabin's test, at every order.
-    """
+    """The finite field F_{p^l}, always on _canonical_modulus(p, l); immutable
+    after construction. An order above ROOT_SEARCH_LIMIT, make_extension's cap
+    too, is refused before the modulus search."""
     __setattr__ = __delattr__ = _read_only
     # None until set: the tables by _build_tables, up to TABLE_LIMIT; gamma on first use
     _add_table = _mul_table = _add_array = _mul_array = _primitive = None
 
-    def __init__(self, p, l=1, modulus=None):
+    def __init__(self, p, l=1):
         _check_prime(p, l)
+        _check_order(p, l, ROOT_SEARCH_LIMIT)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "l", l)
         object.__setattr__(self, "q", p ** l)
-        if l == 1:
-            modulus = None
-        elif modulus is None:
-            modulus = _canonical_modulus(p, l)
-        else:
-            if not isinstance(modulus, (tuple, list)) or len(modulus) != l + 1 or modulus[-1] != 1:
-                raise InvalidArgument("modulus must be monic of degree l")
-            if not all(is_int(c) for c in modulus):
-                raise InvalidArgument(f"modulus coefficients must be integers, got {modulus!r}")
-            modulus = tuple(c % p for c in modulus[:-1]) + (1,)
-            from .poly import Poly, is_irreducible
-
-            if not is_irreducible(Poly(make_prime_field(p), modulus)):
-                raise InvalidArgument(f"modulus {modulus} is not irreducible over F_{p}")
-        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "modulus", None if l == 1 else _canonical_modulus(p, l))
         self._build_tables()
 
     # -- arithmetic -------------------------------------------------------
@@ -311,7 +296,7 @@ class FieldCtx:
     # -- identity ----------------------------------------------------------
 
     def _key(self):
-        return (self.p, self.l, self.modulus)
+        return (self.p, self.l)
 
     def __eq__(self, other):
         return isinstance(other, FieldCtx) and self._key() == other._key()
@@ -463,17 +448,22 @@ def _check_prime(p, l):
         raise InvalidArgument(f"{p} is not prime{_prime_power_hint(p, l)}")
 
 
+def _check_order(p, l, limit):
+    """Refuse an order p^l above limit without computing p ** l for a large l:
+    as p >= 2, any l above log2(limit) already gives an order above it."""
+    if p > limit or l > limit.bit_length() - 1 or p ** l > limit:
+        order = p if l == 1 else f"{p}^{l}"
+        raise InvalidArgument(f"field order {order} exceeds {limit}")
+
+
 def _checked_field(p, l):
     """F_(p^l) for a prime p and p^l <= CONTEXT_LIMIT; else InvalidArgument.
 
-    A large order is refused before FieldCtx's check of p, and before
-    p ** l, which a large l makes too long to print. As p >= 2, any l > 16
-    already gives an order above 2^16. A float p is refused before the
-    shared fields are looked up, where 2.0 would find F_2."""
+    A large order is refused before FieldCtx's check of p. A float p is
+    refused before the shared fields are looked up, where 2.0 would find F_2."""
     _check_ints(p, l)
-    if p > 1 and (p > CONTEXT_LIMIT or l > 16 or p ** l > CONTEXT_LIMIT):
-        order = p if l == 1 else f"{p}^{l}"
-        raise InvalidArgument(f"field order {order} exceeds {CONTEXT_LIMIT}")
+    if p > 1:
+        _check_order(p, l, CONTEXT_LIMIT)
     return _extension_field(p, l)
 
 

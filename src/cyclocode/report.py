@@ -110,6 +110,8 @@ def emit_report(records, fmt, path):
                     fh.write(sep + _json_record(r))
                     sep = ",\n"
                 fh.write("[]\n" if sep == "[\n" else "\n]\n")
+    except BrokenPipeError:
+        raise  # the reader of a stream left early: the caller's exit, not a report error
     except OSError as exc:
         raise CycloError(str(exc)) from exc
     return path

@@ -120,6 +120,17 @@ def test_reciprocal_involution(literal):
         assert reciprocal(reciprocal(f)) == f
 
 
+# The degree-10 ones are x^10, (x^5 + 1)^2 and
+# (x^2 + x + 1)(x^8 + x^7 + x^5 + x^4 + x^3 + x + 1); the last has no root in
+# F_2, as neither factor has one, so only Rabin's gcd step finds a factor.
+@pytest.mark.parametrize("p,coeffs", [
+    (2, (1, 0, 1)), (2, (0, 0, 1)), (3, (2, 0, 1)),
+    (2, (0,) * 10 + (1,)), (2, (1,) + (0,) * 9 + (1,)), (2, (1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1)),
+])
+def test_reducible_polynomials_fail_rabins_test(p, coeffs):
+    assert not is_irreducible(Poly(make_prime_field(p), coeffs))
+
+
 def test_is_irreducible_examples():
     assert is_irreducible(Poly(F2, [1, 1, 1]))
     assert not is_irreducible(Poly(F2, [1, 0, 1]))  # (x+1)^2

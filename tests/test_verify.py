@@ -1,13 +1,18 @@
 import contextlib
+import fcntl
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import cyclocode
 from cyclocode import codes
 from cyclocode.cli import main as cli_main
 from cyclocode.codes import DEFAULT_BUDGET, build_Cn
@@ -351,6 +356,29 @@ def test_cli_verify_tensor(capsys):
     rc = cli_main(["verify", "tensor", "--n1", "3", "--n2", "5", "--field", "2"])
     assert rc == 0
     assert json.loads(capsys.readouterr().out)["status"] == "pass"
+
+
+@pytest.mark.parametrize("argv", [
+    ["code", "build", "--n", "40000", "--field", "3"],
+    ["verify", "sweep", "--deterministic", "--format", "csv"],
+])
+def test_cli_exits_1_in_silence_when_stdout_closes_early(argv):
+    # code build once ended in a BrokenPipeError traceback, and verify sweep
+    # printed "error: [Errno 32] Broken pipe"
+    read, write = os.pipe()
+    # a one-page pipe: the command blocks on it until this reader has taken
+    # its first line, so output is still left to write when the pipe closes
+    fcntl.fcntl(write, fcntl.F_SETPIPE_SZ, 4096)
+    src = str(pathlib.Path(cyclocode.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cyclocode.cli", *argv], stdout=write, stderr=subprocess.PIPE, env=env
+    )
+    os.close(write)
+    with open(read, "rb") as out:
+        assert out.readline()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (1, b"")
 
 
 @pytest.mark.parametrize("argv", [
