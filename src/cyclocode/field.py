@@ -365,17 +365,14 @@ def make_extension(base, m):
     Each (base, m) is built once, embedding included, and shared.  The
     arguments are checked before the cache is looked up, so an unhashable m
     or base, or m = 2.0 or True, is refused rather than hashed or taken for
-    the entry of 2 or 1.  q^m may not exceed ROOT_SEARCH_LIMIT.
+    the entry of 2 or 1.  A q^m above ROOT_SEARCH_LIMIT is refused by
+    FieldCtx, as the order p^(l m), before q^m is computed.
     """
     check_field(base, "base")
     if not is_int(m):
         raise InvalidArgument(f"extension degree must be an integer, got m = {m!r}")
     if m < 1:
         raise InvalidArgument("extension degree must be >= 1")
-    if m > 24 or base.q ** m > ROOT_SEARCH_LIMIT:  # q >= 2, so m > 24 gives q^m > 2^24
-        raise InvalidArgument(
-            f"q^m = {base.q}^{m} exceeds the support cap {ROOT_SEARCH_LIMIT}"
-        )
     return _extension(base, m)
 
 

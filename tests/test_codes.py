@@ -664,29 +664,60 @@ def _divisor_codes(draw):
     return _cyclic_code(ctx, n, draw(st.lists(st.sampled_from(reps), unique=True)))
 
 
-@st.composite
-def _any_divisor_codes(draw, literals):
-    """A cyclic code g | x^n - 1 over one of the fields, g = 1 and x^n - 1 included.
-
-    Over the large fields n divides q - 1, so x^n - 1 splits into the linear
-    factors x - zeta^i and g is the product of a random set of them.
-    """
-    ctx = parse_field(draw(st.sampled_from(literals)))
+def _divisor_length(draw, ctx):
+    """A length n at which _divisor_code can draw a code over ctx."""
     if ctx.q > 64:
-        n = draw(st.sampled_from([n for n in range(2, 20) if (ctx.q - 1) % n == 0]))
-        zeta = nth_root_of_unity(ctx, n)
-        g = Poly.one(ctx)
-        for i in draw(st.lists(st.integers(0, n - 1), unique=True)):
-            g = g * Poly(ctx, [ctx.neg(ctx.pow(zeta, i)), 1])
-        return from_generator(g, n)
+        return draw(st.sampled_from([n for n in range(2, 20) if (ctx.q - 1) % n == 0]))
     # minimal_poly works in the splitting field F_{q^t} of x^n - 1: keep it small
     lengths = [
         n for n in range(1, 31)
         if n % ctx.p and ctx.q ** multiplicative_order_mod(ctx.q, n) <= 1 << 16
     ]
-    n = draw(st.sampled_from(lengths))
+    return draw(st.sampled_from(lengths))
+
+
+def _divisor_code(draw, ctx, n):
+    """A cyclic code g | x^n - 1 over ctx, g = 1 and x^n - 1 included.
+
+    Over the large fields n divides q - 1, so x^n - 1 splits into the linear
+    factors x - zeta^i and g is the product of a random set of them.
+    """
+    if ctx.q > 64:
+        zeta = nth_root_of_unity(ctx, n)
+        g = Poly.one(ctx)
+        for i in draw(st.lists(st.integers(0, n - 1), unique=True)):
+            g = g * Poly(ctx, [ctx.neg(ctx.pow(zeta, i)), 1])
+        return from_generator(g, n)
     reps = [c.representative for c in cosets(n, ctx.q)]
     return _cyclic_code(ctx, n, draw(st.lists(st.sampled_from(reps), unique=True)))
+
+
+@st.composite
+def _any_divisor_codes(draw, literals):
+    """A cyclic code of _divisor_code over one of the fields."""
+    ctx = parse_field(draw(st.sampled_from(literals)))
+    return _divisor_code(draw, ctx, _divisor_length(draw, ctx))
+
+
+@st.composite
+def _divisor_code_pairs(draw, literals):
+    """Two cyclic codes of _divisor_code of one length over one of the fields."""
+    ctx = parse_field(draw(st.sampled_from(literals)))
+    n = _divisor_length(draw, ctx)
+    return _divisor_code(draw, ctx, n), _divisor_code(draw, ctx, n)
+
+
+# The sum of two cyclic codes is generated by the gcd of their generators
+# (MacWilliams & Sloane, ch. 7), the rule that verify's dual-sum lemma rests
+# on; sum_codes row-reduces the two bases instead.  F_{2^10} has no tables.
+@settings(max_examples=150, deadline=None)
+@given(_divisor_code_pairs(["2", "3", "2^2", "3^2", "2^10"]))
+@example((dual(build_Cn(15, F2)), build_repetition(15, F2)))
+@example((from_generator(Poly.x_n_minus_1(F3, 8), 8), build_Cn(8, F3)))
+def test_the_gcd_of_generators_generates_the_sum(pair):
+    a, b = pair
+    by_gcd = from_generator(a.g.gcd(b.g), a.n).generator_matrix()
+    assert by_gcd.rows.tolist() == sum_codes(a, b).rows.tolist()
 
 
 def _table_sizes(ctx):

@@ -206,3 +206,42 @@ def test_pow_mod_matches_repeated_products(literal, f, mod, e):
     for _ in range(e):
         power = Poly(ctx, naive_poly_mul(ctx, power.coeffs, f.coeffs)) % mod
     assert f.pow_mod(e, mod) == power
+
+
+@st.composite
+def _gcd_cases(draw):
+    """(field, a, b, d): f = a d and h = b d share the factor d, which is
+    nonzero; a or b may be zero.  F_{2^10} has no tables."""
+    ctx = parse_field(draw(st.sampled_from(["2", "5", "2^2", "3^2", "2^10"])))
+    element = st.integers(0, ctx.q - 1)
+    a = draw(st.lists(element, max_size=8))
+    b = draw(st.lists(element, max_size=8))
+    d = draw(st.lists(element, max_size=5)) + [draw(st.integers(1, ctx.q - 1))]
+    return ctx, a, b, d
+
+
+@settings(max_examples=150, deadline=None)
+@given(_gcd_cases())
+@example((F2, [1, 1], [1, 0, 1], [1, 1]))  # (x + 1)^2 and (x + 1)^3 over F_2
+@example((F5, [], [3], [2, 4]))  # gcd(0, 3 (4x + 2)) is x + 3
+def test_gcd_is_a_monic_common_divisor_that_d_divides(case):
+    ctx, a, b, d = case
+    f, h = (Poly(ctx, naive_poly_mul(ctx, c, d)) for c in (a, b))
+    g = f.gcd(h)
+    if f.is_zero and h.is_zero:
+        assert g.is_zero
+        return
+    assert g.is_monic
+    for c in (f, h):
+        cofactor, rem = divmod(c, g)
+        assert rem.is_zero
+        assert naive_poly_mul(ctx, cofactor.coeffs, g.coeffs) == list(c.coeffs)
+    assert (g % Poly(ctx, d).monic()).is_zero
+
+
+@pytest.mark.parametrize("literal", ["2", "5", "3^2", "2^10"])
+def test_gcd_with_the_zero_polynomial(literal):
+    ctx = parse_field(literal)
+    f, zero = Poly(ctx, [1, 0, ctx.q - 1]), Poly(ctx, [])
+    assert f.gcd(zero) == zero.gcd(f) == f.monic()
+    assert zero.gcd(zero) == zero

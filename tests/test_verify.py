@@ -2,6 +2,7 @@ import contextlib
 import fcntl
 import io
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -16,15 +17,25 @@ import cyclocode
 from cyclocode import codes
 from cyclocode.cli import main as cli_main
 from cyclocode.codes import DEFAULT_BUDGET, build_Cn
+from cyclocode.cyclotomic import cyclotomic_poly
 from cyclocode.errors import ConfigInvalid, CycloError
-from cyclocode.field import make_prime_field
+from cyclocode.field import is_prime, make_prime_field, parse_field
+from cyclocode.poly import Poly
 from cyclocode.report import (
     CSV_COLUMNS,
     VerificationRecord,
     emit_report,
     zero_elapsed,
 )
-from cyclocode.verify import THEOREM_IDS, SweepConfig, _distance_row, dual_cn_row, sweep
+from cyclocode.verify import (
+    DEFAULT_FIELDS,
+    THEOREM_IDS,
+    SweepConfig,
+    _distance_row,
+    _dual_sum_lemma,
+    dual_cn_row,
+    sweep,
+)
 
 
 def test_sweep_cn_dist_f2():
@@ -94,16 +105,60 @@ def test_sweep_walks_each_dual_cn_once(theorems, monkeypatch):
 
 
 def test_sweep_algebra_grid_runs_one_lfsr_per_distinct_code(monkeypatch):
-    """The grid of perfbench/configs/sweep-algebra.json asks for 732 generator
-    matrices of 473 distinct codes; each is built once (one np.eye each)."""
+    """The grid of perfbench/configs/sweep-algebra.json asks for 309 generator
+    matrices of 173 distinct codes, all duals of C_n for TENSOR-EQUIV; each is
+    built once (one np.eye each). CN1-DUAL-SUM asks for none, as its lemma is
+    one gcd of generators."""
     for build in (codes.build_Cn, codes.build_Cn1, codes.build_repetition):
         build.cache_clear()
     runs, eye = [], np.eye
     monkeypatch.setattr(np, "eye", lambda *a, **k: runs.append(1) or eye(*a, **k))
     theorems = ["FACTORIZATION", "CN1-DUAL-SUM", "TENSOR-EQUIV"]
     records = sweep(SweepConfig(n_range=(2, 56), theorems=theorems, budget=1))
-    assert len(runs) == 473
+    assert len(runs) == 173
     assert not [r for r in records if r.status == "fail"]
+
+
+def test_dual_sum_lemma_matches_row_reduction():
+    """On every (field, n) where the sweep checks the lemma, the gcd of
+    generators gives the dimension and verdict that sum_codes and same_code
+    give by row reduction."""
+    checked = 0
+    for literal in DEFAULT_FIELDS:
+        ctx = parse_field(literal)
+        for n in range(4, 41):
+            if is_prime(n) or math.gcd(n, ctx.q) != 1:
+                continue
+            lhs = codes.sum_codes(codes.dual(build_Cn(n, ctx)), codes.build_repetition(n, ctx))
+            dim, rhs, equal = _dual_sum_lemma(ctx, n)
+            assert (dim, equal) == (lhs.num_rows, codes.same_code(lhs, rhs))
+            assert equal
+            checked += 1
+    assert checked == 97
+
+
+@pytest.mark.parametrize("literal", ["3", "7"])
+def test_a_wrong_c_n1_fails_both_rows_that_rest_on_the_lemma(literal, monkeypatch):
+    """At even n, C_{n,1} = <Q_n Q_1> is replaced by <Q_n (x + 1)>, a code of
+    the same dimension, so only the lemma's equality tells the two apart."""
+    build_cn1 = codes.build_Cn1
+
+    def wrong(n, ctx):
+        if n % 2:
+            return build_cn1(n, ctx)
+        return codes.from_generator(cyclotomic_poly(n, ctx) * Poly(ctx, [1, 1]), n)
+
+    cfg = SweepConfig(
+        fields=[literal], n_range=(4, 30), budget=1,
+        theorems=["CN1-DUAL-SUM", "CONJECTURE-CN1-DUAL"],
+    )
+    assert not [r for r in sweep(cfg) if r.status == "fail"]
+    monkeypatch.setattr(codes, "build_Cn1", wrong)
+    rows = [r for r in sweep(cfg) if r.status != "n/a"]
+    even = [r for r in rows if r.n % 2 == 0]
+    assert {r.theorem_id for r in even} == {"CN1-DUAL-SUM", "CONJECTURE-CN1-DUAL"}
+    assert all(r.status == "fail" and r.measured[:2] == r.claimed[:2] for r in even)
+    assert not [r for r in rows if r.n % 2 and r.status == "fail"]
 
 
 def test_codes_shared_over_the_sweep_algebra_grid_equal_fresh_builds(monkeypatch):
@@ -140,7 +195,7 @@ def test_codes_shared_over_the_sweep_algebra_grid_equal_fresh_builds(monkeypatch
         assert fresh is not code
         same(code, fresh)
         same(codes.dual(code), codes.dual(fresh))
-    assert len(built) > 473  # the 473 distinct codes and the duals built
+    assert len(built) == 805  # 191 C_n, 141 C_{n,1}, 141 R_n and the duals of C_n, C_{n,1}
 
 
 @pytest.mark.parametrize(
@@ -633,11 +688,12 @@ def test_cli_config_out_of_range_field_literal_exit_2(literal, tmp_path, capsys)
 
 
 def test_cli_zeros_beyond_the_root_search_limit_names_q_and_m(capsys):
-    # 256 has order 1829 mod 3659, and 256^1829 has over 4,300 digits
+    # 256 has order 1829 mod 3659, and 256^1829 = 2^14632 has over 4,300
+    # digits; FieldCtx refuses that order before computing it
     assert cli_main(["code", "zeros", "--n", "3659", "--field", "2^8"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: q^m = 256^1829 exceeds the support cap 16777216\n"
+    assert captured.err == "error: field order 2^14632 exceeds 16777216\n"
 
 
 @pytest.mark.parametrize("action", ["mindist", "weights"])
