@@ -26,7 +26,7 @@ from .cyclotomic import cyclotomic_poly, profile
 from .errors import ConfigInvalid, CycloError, InvalidArgument
 from .field import parse_field
 from .poly import Poly
-from .report import FORMATS, emit_report, zero_elapsed
+from .report import FORMATS, emit_report
 from .tensor import verify_tensor_dual
 from .verify import SweepConfig, sweep
 
@@ -85,12 +85,10 @@ def _cmd_code(args):
 
 
 def _finish(records, args, cfg):
-    if args.deterministic:
-        records = zero_elapsed(records)
     output = args.output or cfg.output
     # stdout takes only an explicit --format; a file also the config's format
     fmt = args.format or (cfg.format if output else "json")
-    emit_report(records, fmt, output or sys.stdout)
+    emit_report(records, fmt, output or sys.stdout, deterministic=args.deterministic)
     return 1 if any(r.status == "fail" for r in records) else 0
 
 

@@ -16,7 +16,9 @@ row-reduced.  The builders share one code per (n, field), and a code keeps
 its matrix and its dual once made; codes, matrices and their rows are
 read-only, so no holder of a shared one can change it, and only the RREFs
 made here are marked canonical.  sum_codes extends one RREF basis by the
-other code's rows instead of row-reducing the two stacked.  Minimum
+other code's rows instead of row-reducing the two stacked, and same_code
+compares rows that prove their own rank with an [I_k | P] by membership,
+with no row reduction.  Minimum
 distances and weight distributions come from one meet-in-the-middle
 enumeration over the prime subfield, one walk for every field: a table of
 all combinations of the first symbols, walked by an odometer over the
@@ -31,16 +33,16 @@ or a field with InvalidArgument.
 """
 
 import time
-from dataclasses import asdict, dataclass
 from functools import lru_cache, wraps
+from typing import NamedTuple
 
 import numpy as np
 
 from .cyclotomic import cosets, cyclotomic_cofactor, cyclotomic_poly, multiplicative_order_mod
 from .errors import BudgetExceeded, CycloError, InvalidArgument
 from .field import (
-    _digit_sum, _read_only, check_field, check_n, is_int, is_prime, make_extension,
-    nth_root_of_unity,
+    _digit_array, _digit_sum, _read_only, check_field, check_n, is_int, is_prime,
+    make_extension, nth_root_of_unity,
 )
 from .poly import Poly, reciprocal
 
@@ -53,6 +55,9 @@ MAX_BUDGET = (1 << 63) - 1
 # measured slower and raised peak memory.  A field with q > 2^13 holds a
 # table of q columns whenever the code has more than one symbol.
 _LOW_TABLE = 1 << 13
+# same_code's digit product is exact while each of its sums, k l products of
+# two digits below p, stays below this.
+_INT64_BOUND = 1 << 63
 
 
 class GenMatrix:
@@ -135,8 +140,7 @@ class GenMatrix:
         return f"GenMatrix({self.ctx!r}, {self.num_rows}x{self.n})"
 
 
-@dataclass
-class DistanceReport:
+class DistanceReport(NamedTuple):
     """A minimum distance d, exact over the q^k - 1 nonzero codewords that
     codewords_enumerated counts.  The walk behind it weighs one codeword per
     class of q - 1 scalar multiples, which share a weight, and stops at a
@@ -149,7 +153,7 @@ class DistanceReport:
     elapsed: float
 
     def to_dict(self):
-        return asdict(self)
+        return self._asdict()
 
 
 class CyclicCode:
@@ -344,9 +348,42 @@ def _matrices(a, b):
 
 
 def same_code(a, b):
-    """Row-space equality via identical reduced row-echelon forms."""
+    """Row-space equality, by membership when one side is [I_k | P].
+
+    If one side is canonical with pivots 0 ... k - 1, as every cyclic code's
+    generator matrix is, and every row of the other has a column where it
+    alone is nonzero, so that its rows are independent, the codes are equal
+    iff the other has k rows and each of its rows v has v[k:] = v[:k] P.
+    That is one int64 product of base-p digits over F_p, exact while
+    k l (p - 1)^2 < 2^63: always for a parse_field field, and not for a
+    FieldCtx prime near 2^24 with k >= 2^15.  Any other pair is compared by
+    identical reduced row-echelon forms.
+    """
     ma, mb = _matrices(a, b)
+    if mb.canonical and not ma.canonical:
+        ma, mb = mb, ma
+    ctx, k, v = ma.ctx, ma.num_rows, mb.rows
+    p, l = ctx.p, ctx.l
+    if (
+        ma.canonical and not mb.canonical
+        and k * l * (p - 1) ** 2 < _INT64_BOUND
+        and np.array_equal(_pivot_columns(ma), np.arange(k))
+        and _independent(v)
+    ):
+        if len(v) != k:
+            return False
+        digits = _digit_array(v, p, l)
+        head = digits[:, :k].reshape(k, k * l)
+        tail = digits[:, k:].reshape(k, (ma.n - k) * l)
+        return np.array_equal(head @ ctx.expand(ma.rows[:, k:]) % p, tail)
     return np.array_equal(ma.rref().rows, mb.rref().rows)
+
+
+def _independent(rows):
+    """Whether every row has a column where it alone is nonzero, which proves
+    the rows linearly independent."""
+    nonzero = rows != 0
+    return bool(nonzero[:, nonzero.sum(axis=0) == 1].any(axis=1).all())
 
 
 def _pivot_columns(m):

@@ -12,16 +12,15 @@ that is not an int of at least 1 with the same message.
 """
 
 import math
-from dataclasses import asdict, dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import CycloError, InvalidArgument
 from .field import _int_mul, check_n, factorize, is_int, make_extension, nth_root_of_unity
 from .poly import Poly
 
 
-@dataclass(frozen=True)
-class ArithmeticProfile:
+class ArithmeticProfile(NamedTuple):
     n: int
     phi: int
     omega: int
@@ -30,7 +29,7 @@ class ArithmeticProfile:
     factorization: tuple
 
     def to_dict(self):
-        return asdict(self)  # the tuples are JSON lists
+        return self._asdict()  # the tuples are JSON lists
 
 
 def profile(n):
@@ -134,8 +133,7 @@ def verify_factorization(n, ctx):
 
 # -- cyclotomic cosets and minimal polynomials --------------------------------
 
-@dataclass(frozen=True)
-class CyclotomicCoset:
+class CyclotomicCoset(NamedTuple):
     n: int
     q: int
     representative: int

@@ -3,7 +3,8 @@
 import csv
 import json
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from .errors import CycloError
 
@@ -58,12 +59,14 @@ _JSON_RECORD = "  {{\n" + ",\n".join(f'    "{key}": {{}}' for key in _LAYOUT) + 
 
 
 def _json_value(v):
-    """v as json writes it: None and ints directly, anything else through
-    json.dumps, which escapes strings to ASCII in C."""
+    """v as json writes it: None and ints directly, a str by the C escape to
+    ASCII that json.dumps uses, anything else through json.dumps."""
     if v is None:
         return "null"
     if type(v) is int:
         return str(v)
+    if type(v) is str:
+        return encode_basestring_ascii(v)
     return json.dumps(v)
 
 
@@ -74,26 +77,23 @@ def _json_list(values):
     return "[\n      " + ",\n      ".join(map(_json_value, values)) + "\n    ]"
 
 
-def _json_record(r):
+def _json_record(r, deterministic):
     """r.to_dict() as json.dumps(..., indent=2) writes it inside a list; the
-    elapsed time goes through repr, as json writes a float."""
+    elapsed time goes through repr, as json writes a float, or is 0.0 if
+    deterministic."""
     return _JSON_RECORD.format(
         *map(_json_value, (r.theorem_id, r.q, r.n, r.n1, r.n2)),
         _json_list(r.claimed), _json_list(r.measured), _json_value(r.status),
-        repr(round(r.elapsed, 3)), _json_value(r.note),
+        "0.0" if deterministic else repr(round(r.elapsed, 3)), _json_value(r.note),
     )
 
 
-def zero_elapsed(records):
-    """Copies of records with their elapsed times zeroed."""
-    return [replace(r, elapsed=0.0) for r in records]
-
-
-def emit_report(records, fmt, path):
+def emit_report(records, fmt, path, deterministic=False):
     """Write records as csv or json to path, or to an open text stream.
 
-    Elapsed times are the only run-dependent field: pass the records through
-    zero_elapsed first for identical files from identical configs.
+    Elapsed times are the only run-dependent field: deterministic writes each
+    as 0, for identical files from identical configs, and leaves the records
+    as they are, so a caller that keeps them keeps their times.
     """
     if fmt not in FORMATS:
         raise CycloError(f"unknown report format {fmt!r}")
@@ -102,12 +102,16 @@ def emit_report(records, fmt, path):
             if fmt == "csv":
                 writer = csv.writer(fh)
                 writer.writerow(CSV_COLUMNS)
-                writer.writerows(r.to_csv_row() for r in records)
+                for r in records:
+                    row = r.to_csv_row()
+                    if deterministic:
+                        row[-1] = "0.000"
+                    writer.writerow(row)
             else:
                 # one write per record: the report is never held whole
                 sep = "[\n"
                 for r in records:
-                    fh.write(sep + _json_record(r))
+                    fh.write(sep + _json_record(r, deterministic))
                     sep = ",\n"
                 fh.write("[]\n" if sep == "[\n" else "\n]\n")
     except BrokenPipeError:

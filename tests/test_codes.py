@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from helpers import (
     macwilliams,
@@ -320,6 +320,109 @@ def test_same_code_checks():
         same_code(c6, build_Cn(8, F5))
     with pytest.raises(InvalidArgument, match="different fields"):
         same_code(build_Cn(4, F5), build_Cn(4, F3))
+
+
+def test_same_code_decides_membership_without_row_reduction(row_reductions):
+    c = build_Cn(20, F3)
+    g = c.generator_matrix().rows
+    # rows scaled and reordered keep a unit column each: decided by membership
+    monomial = GenMatrix(F3, F3.mul_array(2, g[::-1]))
+    assert same_code(monomial, c) and same_code(c, monomial)
+    wrong = np.array(monomial.rows)
+    wrong[0, -1] = F3.add(int(wrong[0, -1]), 1)
+    assert not same_code(GenMatrix(F3, wrong), c)
+    assert not same_code(GenMatrix(F3, monomial.rows[1:]), c)  # too few rows
+    assert row_reductions == []
+    # rows of c, one repeated: no unit column proves them independent
+    repeated = GenMatrix(F3, np.vstack([g[:-1], g[:1]]))
+    assert not same_code(repeated, c)
+    assert row_reductions == [repeated]
+
+
+def test_same_code_needs_pivots_0_to_k_minus_1(row_reductions):
+    basis = GenMatrix._of(F3, [[0, 1, 0, 2], [0, 0, 1, 1]])  # an RREF, pivots 1 and 2
+    scaled = GenMatrix(F3, [[0, 0, 2, 2], [0, 2, 0, 1]])
+    assert same_code(basis, scaled)
+    assert row_reductions == [scaled]
+
+
+@pytest.mark.parametrize("bound,membership", [(9, True), (8, False)])
+def test_same_code_row_reduces_beyond_the_int64_bound(monkeypatch, row_reductions, bound, membership):
+    """Over F_3 with k = 2 each digit of the product sums k l (p - 1)^2 = 8 at
+    most: membership runs while that is below the bound, else row reduction."""
+    monkeypatch.setattr(codes, "_INT64_BOUND", bound)
+    basis = GenMatrix._of(F3, [[1, 0, 2, 2], [0, 1, 1, 2]])  # an RREF
+    rows = GenMatrix(F3, [[0, 2, 2, 1], [2, 0, 1, 1]])
+    assert same_code(basis, rows)
+    assert row_reductions == ([] if membership else [rows])
+
+
+def test_the_int64_bound_holds_for_every_parse_field_field():
+    # a parse_field field has p <= 2^16, so (p - 1)^2 < 2^32 and k l < 2^31 is enough
+    assert (1 << 31) * (65521 - 1) ** 2 < codes._INT64_BOUND
+    # the largest prime below 2^24, which FieldCtx builds, passes it at k = 2^15
+    p = 16777213
+    assert is_prime(p) and FieldCtx(p).l == 1
+    assert (1 << 15) * (p - 1) ** 2 < codes._INT64_BOUND
+    assert ((1 << 15) + 1) * (p - 1) ** 2 >= codes._INT64_BOUND
+
+
+# F_{2^10} has no tables: its products go through the digit rule.
+SAME_CODE_FIELDS = ["2", "3", "2^2", "3^2", "2^10"]
+
+
+@st.composite
+def _same_code_cases(draw):
+    """(field, a, b) for same_code against the oracle: two random matrices, or
+    a code's matrix against a recombination of its rows by an invertible
+    matrix, kept as it is, with one entry changed or with one row repeated.
+
+    The code is cyclic, so its matrix is [I_k | P], or the RREF of random
+    rows, whose pivots may be anywhere.  The recombination is monomial, rows
+    reordered and scaled, which keeps a unit column for every row, or dense.
+    """
+    ctx = parse_field(draw(st.sampled_from(SAME_CODE_FIELDS)))
+    element = st.integers(0, ctx.q - 1)
+    entry = st.one_of(st.just(0), st.just(1), element)
+
+    def matrix(n):
+        return GenMatrix(ctx, draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=6)), n=n)
+
+    case = draw(st.sampled_from(["random", "recombined", "changed", "repeated"]))
+    if case == "random":
+        n = draw(st.integers(1, 7))
+        a, b = matrix(n), matrix(n)
+        return ctx, a.rref() if draw(st.booleans()) else a, b
+    if draw(st.booleans()):
+        a = _divisor_code(draw, ctx, _divisor_length(draw, ctx)).generator_matrix()
+    else:
+        a = matrix(draw(st.integers(1, 7))).rref()
+    k = a.num_rows
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(k)))
+        scale = draw(st.lists(st.integers(1, ctx.q - 1), min_size=k, max_size=k))
+        mix = [[scale[i] if j == order[i] else 0 for j in range(k)] for i in range(k)]
+    else:
+        mix = draw(st.lists(st.lists(element, min_size=k, max_size=k), min_size=k, max_size=k))
+        assume(len(naive_rref(ctx, mix)) == k)
+    b = ctx.sum_array(ctx.mul_array(np.array(mix, dtype=np.int64).reshape(k, k, 1), a.rows), axis=1)
+    b = b.reshape(k, a.n).tolist()
+    if case == "changed" and k:
+        i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, a.n - 1))
+        b[i][j] = draw(st.integers(0, ctx.q - 1).filter(lambda x: x != b[i][j]))
+    elif case == "repeated" and k > 1:
+        i, j = draw(st.permutations(range(k)))[:2]
+        b[i] = b[j]
+    return ctx, a, GenMatrix(ctx, b, n=a.n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_same_code_cases())
+def test_same_code_matches_the_naive_oracle(case):
+    ctx, a, b = case
+    expected = naive_rref(ctx, a.rows) == naive_rref(ctx, b.rows)
+    assert same_code(a, b) == expected
+    assert same_code(b, a) == expected
 
 
 def test_sum_codes():

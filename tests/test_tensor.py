@@ -11,6 +11,7 @@ from cyclocode.codes import (
     same_code,
     weight_distribution,
 )
+from cyclocode.cyclotomic import profile
 from cyclocode.errors import InvalidArgument
 from cyclocode.field import make_prime_field, parse_field
 from cyclocode.poly import Poly
@@ -174,12 +175,30 @@ def test_verify_tensor_dual_beyond_the_budget_passes_on_the_equivalence():
     assert rec.note == f"distance skipped (needs {5 ** 12 - 1} codewords)"
 
 
-def test_verify_tensor_dual_fails_when_the_codes_differ(monkeypatch):
+def test_verify_tensor_dual_fails_when_the_codes_differ(monkeypatch, row_reductions):
     monkeypatch.setattr(tensor, "same_code", lambda a, b: False)
     rec = verify_tensor_dual(3, 5, F2)
     assert rec.status == "fail"
-    assert rec.measured == (15, 8, 4)
+    assert rec.measured == (15, 8, 4)  # the image's rank, by its one row reduction
     assert rec.note == ""
+    assert len(row_reductions) == 1
+
+
+# F_{2^10} has no tables; 33 divides 2^10 - 1, so its C_33 factors into small cosets
+@pytest.mark.parametrize("literal,n1,n2", [
+    ("2", 3, 5), ("2", 9, 7), ("3^2", 4, 5), ("7", 4, 9), ("2^3", 5, 9), ("2^10", 3, 11),
+])
+def test_verify_tensor_dual_row_reduces_nothing_when_the_codes_agree(row_reductions, literal, n1, n2):
+    ctx = parse_field(literal)
+    rec = verify_tensor_dual(n1, n2, ctx, budget=1)
+    assert rec.status == "pass"
+    assert rec.measured[:2] == (n1 * n2, profile(n1 * n2).phi)
+    assert row_reductions == []
+    # the columns of the cells (a, b) with a < k1 and b < k2 are unit columns
+    image = apply_psi(_dual_cn(n1, ctx), _dual_cn(n2, ctx)).rows
+    k1, k2 = dual(build_Cn(n1, ctx)).k, dual(build_Cn(n2, ctx)).k
+    cells = crt_map(n1, n2).reshape(n1, n2)[:k1, :k2].ravel()
+    assert np.array_equal(image[:, cells], np.eye(k1 * k2, dtype=np.int64))
 
 
 def test_nonzeros_of_product_are_units():

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import fcntl
 import io
 import json
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import cyclocode
-from cyclocode import codes
+from cyclocode import cli, codes
 from cyclocode.cli import main as cli_main
 from cyclocode.codes import DEFAULT_BUDGET, build_Cn
 from cyclocode.cyclotomic import cyclotomic_poly
@@ -25,7 +26,6 @@ from cyclocode.report import (
     CSV_COLUMNS,
     VerificationRecord,
     emit_report,
-    zero_elapsed,
 )
 from cyclocode.verify import (
     DEFAULT_FIELDS,
@@ -318,9 +318,14 @@ def test_emit_report_json_is_json_dumps_indented(tmp_path):
     path = tmp_path / "out.json"
     records = sweep(SweepConfig(fields=["2", "3"], n_range=(2, 40)))
     assert len(records) > 100
-    for rows in (records, zero_elapsed(records), []):
+    zeroed = [dataclasses.replace(r, elapsed=0.0) for r in records]
+    for rows in (records, zeroed, []):
         emit_report(rows, "json", str(path))
         assert path.read_text() == json.dumps([r.to_dict() for r in rows], indent=2) + "\n"
+    elapsed = [r.elapsed for r in records]
+    emit_report(records, "json", str(path), deterministic=True)
+    assert path.read_text() == json.dumps([r.to_dict() for r in zeroed], indent=2) + "\n"
+    assert [r.elapsed for r in records] == elapsed  # the records keep their times
 
 
 _maybe_int = st.one_of(st.none(), st.integers(-(2 ** 70), 2 ** 70))
@@ -354,8 +359,14 @@ def test_emit_report_refusals(tmp_path):
 def test_sweep_determinism(tmp_path):
     cfg = SweepConfig(fields=["2"], n_range=(2, 10))
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    emit_report(zero_elapsed(sweep(cfg)), "csv", str(p1))
-    emit_report(zero_elapsed(sweep(cfg)), "csv", str(p2))
+    records = sweep(cfg)
+    elapsed = [r.elapsed for r in records]
+    emit_report(records, "csv", str(p1), deterministic=True)
+    emit_report(sweep(cfg), "csv", str(p2), deterministic=True)
+    assert p1.read_bytes() == p2.read_bytes()
+    assert [r.elapsed for r in records] == elapsed  # the records keep their times
+    zeroed = [dataclasses.replace(r, elapsed=0.0) for r in records]
+    emit_report(zeroed, "csv", str(p2))
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -578,12 +589,16 @@ def test_cli_conjecture_run(capsys):
         ["verify", "sweep", "--config", "{cfg}", "--deterministic"],
     ],
 )
-def test_cli_deterministic_stdout_zeroes_elapsed(argv, tmp_path, capsys):
+def test_cli_deterministic_stdout_zeroes_elapsed(argv, tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"fields": ["2", "3"], "n_range": [2, 16]}))
+    records = []
+    monkeypatch.setattr(cli, "sweep", lambda c: records.extend(sweep(c)) or records)
     assert cli_main([a.format(cfg=cfg) for a in argv]) == 0
     rows = json.loads(capsys.readouterr().out)
     assert rows and all(r["elapsed_s"] == 0 for r in rows)
+    # the report is zeroed, not the records: a caller holding them keeps the times
+    assert len(records) == len(rows) and any(r.elapsed > 0 for r in records)
 
 
 def test_cli_conjecture_run_ignores_config_theorems(tmp_path, capsys):
