@@ -15,10 +15,8 @@ RREF [I_k | P], read off g by systematic encoding, so it is never
 row-reduced.  The builders share one code per (n, field), and a code keeps
 its matrix and its dual once made; codes, matrices and their rows are
 read-only, so no holder of a shared one can change it, and only the RREFs
-made here are marked canonical.  sum_codes extends one RREF basis by the
-other code's rows instead of row-reducing the two stacked, and same_code
-compares rows that prove their own rank with an [I_k | P] by membership,
-with no row reduction.  Minimum
+made here are marked canonical.  same_code compares rows that prove their
+own rank with an [I_k | P] by membership, with no row reduction.  Minimum
 distances and weight distributions come from one meet-in-the-middle
 enumeration over the prime subfield, one walk for every field: a table of
 all combinations of the first symbols, walked by an odometer over the
@@ -90,7 +88,7 @@ class GenMatrix:
     @classmethod
     def _of(cls, ctx, rows):
         """rows, checked by __init__, marked canonical: rref and the distance
-        floor trust the mark, so only rref, generator_matrix and sum_codes set it."""
+        floor trust the mark, so only rref, generator_matrix and __reduce__ set it."""
         m = cls(ctx, rows)
         object.__setattr__(m, "canonical", True)
         return m
@@ -391,33 +389,11 @@ def _pivot_columns(m):
     return (m.rows != 0).argmax(axis=1) if m.num_rows else np.zeros(0, dtype=np.int64)
 
 
-def _clear(ctx, rows, cols, basis):
-    """rows - rows[:, cols] . basis over F_q: rows cleared on cols, the pivot
-    columns of the canonical rows basis, by one sum_array of the products of
-    the negated coefficients, added to rows by one add_array."""
-    minus = ctx.mul_array(ctx.p - 1, rows[:, cols])
-    products = ctx.mul_array(minus[:, :, None], basis[None, :, :])
-    return ctx.add_array(rows, ctx.sum_array(products, axis=1))
-
-
 def sum_codes(a, b):
-    """RREF basis of the sum of two codes of equal length.
-
-    Extends a's RREF basis instead of row-reducing the stacked rows: b's rows
-    are cleared on a's pivot columns, only what is left of them is
-    row-reduced, a's rows are cleared on the new pivot columns, and the rows
-    are merged in pivot-column order.  That is the RREF of the stack, as the
-    RREF of a row space is unique; a cyclic code's RREF costs nothing.
-    """
+    """RREF basis of the sum of two codes of equal length: the RREF of their
+    stacked rows, unique for the row space."""
     ma, mb = _matrices(a, b)
-    ma = ma.rref()
-    ctx = ma.ctx
-    pivots = _pivot_columns(ma)
-    new = GenMatrix(ctx, _clear(ctx, mb.rows, pivots, ma.rows), n=ma.n).rref()
-    new_pivots = _pivot_columns(new)
-    old = _clear(ctx, ma.rows, new_pivots, new.rows)
-    order = np.argsort(np.concatenate([pivots, new_pivots]))
-    return GenMatrix._of(ctx, np.vstack([old, new.rows])[order])
+    return GenMatrix(ma.ctx, np.vstack([ma.rows, mb.rows]), n=ma.n).rref()
 
 
 # -- exhaustive enumeration ----------------------------------------------------

@@ -245,12 +245,6 @@ class FieldCtx:
             return self._mul_array[a, b]
         return np.frompyfunc(self.mul, 2, 1)(a, b).astype(np.int64)
 
-    def sum_array(self, a, axis):
-        """The F_q sum of an array of elements along axis: the base-p digits
-        of the elements add independently, so their sums are taken mod p."""
-        digits = _digit_array(a, self.p, self.l)  # on a new last axis, so axis >= 0 still counts
-        return _from_digit_array(digits.sum(axis=axis % (digits.ndim - 1)), self.p)
-
     def expand(self, rows):
         """The k x n array rows over F_{p^l} as the (k l) x (n l) array over
         F_p of its digits: row r l + s, column j l + t holds digit t of

@@ -8,7 +8,7 @@ schoolbook and exact -- lengths here stay in the hundreds.
 from operator import index
 
 from .errors import InvalidArgument
-from .field import _int_mul, _power, _read_only, check_n, factorize
+from .field import _int_mul, _power, _read_only, check_n, factorize, is_int
 
 
 def _stripped(cs):
@@ -190,6 +190,8 @@ class Poly:
         first, as Poly(ext.field, [ext.embed(c) for c in f.coeffs]).
         """
         ctx = self.ctx
+        if not (is_int(a) and 0 <= a < ctx.q):
+            raise InvalidArgument(f"{a!r} is not an element of {ctx!r}")
         acc = 0
         for c in reversed(self.coeffs):
             acc = ctx.add(ctx.mul(acc, a), c)

@@ -405,8 +405,12 @@ def _same_code_cases(draw):
     else:
         mix = draw(st.lists(st.lists(element, min_size=k, max_size=k), min_size=k, max_size=k))
         assume(len(naive_rref(ctx, mix)) == k)
-    b = ctx.sum_array(ctx.mul_array(np.array(mix, dtype=np.int64).reshape(k, k, 1), a.rows), axis=1)
-    b = b.reshape(k, a.n).tolist()
+    b = []
+    for coeffs in mix:  # b = mix . a
+        word = [0] * a.n
+        for c, row in zip(coeffs, a.rows.tolist()):
+            word = [naive_field_add(ctx, x, naive_field_mul(ctx, c, y)) for x, y in zip(word, row)]
+        b.append(word)
     if case == "changed" and k:
         i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, a.n - 1))
         b[i][j] = draw(st.integers(0, ctx.q - 1).filter(lambda x: x != b[i][j]))
@@ -812,7 +816,7 @@ def _divisor_code_pairs(draw, literals):
 
 # The sum of two cyclic codes is generated by the gcd of their generators
 # (MacWilliams & Sloane, ch. 7), the rule that verify's dual-sum lemma rests
-# on; sum_codes row-reduces the two bases instead.  F_{2^10} has no tables.
+# on; sum_codes row-reduces the two stacked bases instead.  F_{2^10} has no tables.
 @settings(max_examples=150, deadline=None)
 @given(_divisor_code_pairs(["2", "3", "2^2", "3^2", "2^10"]))
 @example((dual(build_Cn(15, F2)), build_repetition(15, F2)))

@@ -153,6 +153,19 @@ def test_eval_examples():
     assert len(roots) == 2 and all(ext.field.pow(r, 3) == 1 for r in roots)
 
 
+@pytest.mark.parametrize("literal,a", [
+    ("7", 9), ("7", 7), ("7", -1), ("2", 5), ("2^10", 5000), ("2^10", 1024), ("5", 2.0), ("5", True),
+])
+def test_eval_refuses_a_point_that_is_not_an_element(literal, a):
+    # over F_7, x^2 at 9 once gave 4 and at -1 gave 2; over F_2, at 5 an IndexError
+    ctx = parse_field(literal)
+    for coeffs in ([0, 0, 1], []):  # the zero polynomial too: one check before Horner
+        with pytest.raises(InvalidArgument) as exc:
+            Poly(ctx, coeffs).eval(a)
+        assert str(exc.value) == f"{a!r} is not an element of {ctx!r}"
+    assert Poly(ctx, [0, 1]).eval(ctx.q - 1) == ctx.q - 1  # the last element is accepted
+
+
 def test_extension_coefficients_must_be_elements():
     f4 = parse_field("2^2")
     for bad in ([7, 1], [4, 1], [-1, 1]):
