@@ -200,6 +200,9 @@ class CyclicCode:
         An LFSR gives them in O(k r) field operations: t_0 = g - x^r, the low
         coefficients of the monic g, and t_(i+1) = x t_i mod g, which is t_i
         shifted up one place plus its top coefficient times x^r mod g = -t_0.
+        When g lies in F_p, as every code built from Q_n does, each step is
+        int arithmetic mod p in any field; otherwise it goes through the
+        field's look-ups.
         """
         if self._matrix is not None:
             return self._matrix
@@ -207,16 +210,20 @@ class CyclicCode:
         rows = np.zeros((k, self.n), dtype=np.int64)
         rows[:, :k] = np.eye(k, dtype=np.int64)
         if k and r:
-            add, mul = ctx.add, ctx.mul
+            p, add, mul = ctx.p, ctx._add, ctx._mul
             t = list(self.g.coeffs[:r])
-            feedback = ctx.mul_array(ctx.p - 1, np.array(t)).tolist()
+            over_fp = max(t) < p
+            feedback = ctx.mul_array(p - 1, np.array(t)).tolist()
             block = []
             for _ in range(k):
                 block.append(t)
                 top = t[-1]
                 t = [0] + t[:-1]
                 if top:
-                    t = [add(a, mul(top, b)) for a, b in zip(t, feedback)]
+                    if over_fp:
+                        t = [(a + top * b) % p for a, b in zip(t, feedback)]
+                    else:
+                        t = [add(a, mul(top, b)) for a, b in zip(t, feedback)]
             rows[:, k:] = block
         object.__setattr__(self, "_matrix", GenMatrix._of(ctx, rows))
         return self._matrix
@@ -352,7 +359,8 @@ def same_code(a, b):
     generator matrix is, and every row of the other has a column where it
     alone is nonzero, so that its rows are independent, the codes are equal
     iff the other has k rows and each of its rows v has v[k:] = v[:k] P.
-    That is one int64 product of base-p digits over F_p, exact while
+    That is one int64 product mod p, of the entries themselves when v and P
+    lie in F_p, else of their base-p digits over F_p, exact while
     k l (p - 1)^2 < 2^63: always for a parse_field field, and not for a
     FieldCtx prime near 2^24 with k >= 2^15.  Any other pair is compared by
     identical reduced row-echelon forms.
@@ -370,10 +378,13 @@ def same_code(a, b):
     ):
         if len(v) != k:
             return False
+        parity = ma.rows[:, k:]  # P
+        if max(v.max(initial=0), parity.max(initial=0)) < p:
+            return np.array_equal(v[:, :k] @ parity % p, v[:, k:])
         digits = _digit_array(v, p, l)
         head = digits[:, :k].reshape(k, k * l)
         tail = digits[:, k:].reshape(k, (ma.n - k) * l)
-        return np.array_equal(head @ ctx.expand(ma.rows[:, k:]) % p, tail)
+        return np.array_equal(head @ ctx.expand(parity) % p, tail)
     return np.array_equal(ma.rref().rows, mb.rref().rows)
 
 

@@ -3,7 +3,8 @@
 Cyclotomic polynomials are computed once over the integers (coefficients are
 exact Python ints) by recursive division of x^n - 1 by its cofactor, the
 product of the Q_d for proper divisors d, then reduced mod p for a concrete
-field.  The cofactor is kept too: it is the check polynomial of <Q_n>.  Its
+field, where the last 1024 Q_d asked for are shared.  The cofactor is kept
+too: it is the check polynomial of <Q_n>.  Its
 products are field._int_mul, the schoolbook product Poly also uses over F_p.
 The q-cyclotomic cosets behind orders, minimal polynomials and defining sets
 come from one walk, _coset, which is also the one check of s and q.  Every n
@@ -34,19 +35,25 @@ class ArithmeticProfile(NamedTuple):
 
 def profile(n):
     check_n(n)
+    return _profile(n)
+
+
+@lru_cache(maxsize=None)
+def _profile(n):
+    """profile's shared result for an n that check_n accepted; the divisors
+    are the products of the prime powers in the factorization."""
     fact = tuple(factorize(n))
     phi = n
-    for p, _ in fact:
+    divs = [1]
+    for p, e in fact:
         phi -= phi // p
-    divs = sorted(
-        d for d in range(1, n + 1) if n % d == 0
-    )
+        divs = [d * p ** i for d in divs for i in range(e + 1)]
     return ArithmeticProfile(
         n=n,
         phi=phi,
         omega=len(fact),
         lpf=fact[0][0] if fact else None,
-        divisors=tuple(divs),
+        divisors=tuple(sorted(divs)),
         factorization=fact,
     )
 
@@ -101,14 +108,23 @@ def _check_length(n, ctx):
 
 
 def _reduce(coeffs, ctx):
-    """An integer polynomial mod p, over ctx (prime-subfield constants encode as
-    themselves)."""
-    return Poly(ctx, [c % ctx.p for c in coeffs])
+    """An integer polynomial mod p, over ctx: each c % p is already an element,
+    as prime-subfield constants encode as themselves."""
+    p = ctx.p
+    return Poly._of(ctx, [c % p for c in coeffs])
 
 
 def cyclotomic_poly(n, ctx):
     """Q_n over the given field; requires gcd(n, char) = 1."""
     _check_length(n, ctx)
+    return _cyclotomic_poly(n, ctx)
+
+
+# A sweep asks for each Q_d over a field many times: verify_factorization
+# multiplies every Q_d of d | n, and the builders take Q_n and Q_1 again.
+@lru_cache(maxsize=1024)
+def _cyclotomic_poly(n, ctx):
+    """cyclotomic_poly's shared result, for arguments it has checked."""
     return _reduce(cyclotomic_int(n), ctx)
 
 

@@ -220,30 +220,50 @@ class FieldCtx:
                     prod[i - l + j] = (prod[i - l + j] - c * mod[j]) % p
         return _from_digits(prod[:l], p)
 
-    def add(self, a, b):
+    def _add(self, a, b):
+        """a + b, unchecked: the look-up of the loops over elements that the
+        package computed or checked already."""
         if self._add_table is not None:
             return self._add_table[a * self.q + b]
         return self._add_raw(a, b)
 
-    def neg(self, a):
-        return self.mul(self.p - 1, a)
-
-    def mul(self, a, b):
+    def _mul(self, a, b):
+        """a * b, unchecked: the look-up of the loops over elements that the
+        package computed or checked already."""
         if self._mul_table is not None:
             return self._mul_table[a * self.q + b]
         return self._mul_raw(a, b)
 
+    def check_element(self, a):
+        """Raise InvalidArgument unless a is an int (not a bool) in [0, q)."""
+        if not (is_int(a) and 0 <= a < self.q):
+            raise InvalidArgument(f"{a!r} is not an element of {self!r}")
+
+    def add(self, a, b):
+        self.check_element(a)
+        self.check_element(b)
+        return self._add(a, b)
+
+    def neg(self, a):
+        self.check_element(a)
+        return self._mul(self.p - 1, a)
+
+    def mul(self, a, b):
+        self.check_element(a)
+        self.check_element(b)
+        return self._mul(a, b)
+
     def add_array(self, a, b):
-        """Element-wise sum of two broadcastable arrays of elements."""
+        """Element-wise sum of two broadcastable arrays of elements, unchecked."""
         if self._add_array is not None:
             return self._add_array[a, b]
-        return np.frompyfunc(self.add, 2, 1)(a, b).astype(np.int64)
+        return np.frompyfunc(self._add, 2, 1)(a, b).astype(np.int64)
 
     def mul_array(self, a, b):
-        """Element-wise product of two broadcastable arrays of elements."""
+        """Element-wise product of two broadcastable arrays of elements, unchecked."""
         if self._mul_array is not None:
             return self._mul_array[a, b]
-        return np.frompyfunc(self.mul, 2, 1)(a, b).astype(np.int64)
+        return np.frompyfunc(self._mul, 2, 1)(a, b).astype(np.int64)
 
     def expand(self, rows):
         """The k x n array rows over F_{p^l} as the (k l) x (n l) array over
@@ -257,19 +277,18 @@ class FieldCtx:
         return digits.astype(np.min_scalar_type(2 * (p - 1)))
 
     def pow(self, a, e):
-        if not (is_int(a) and 0 <= a < self.q):
-            raise InvalidArgument(f"{a!r} is not an element of {self!r}")
+        self.check_element(a)
         if not is_int(e):
             raise InvalidArgument(f"exponent must be an integer, got {e!r}")
         if e < 0:
             a, e = self.inv(a), -e
-        return _power(a, e, self.mul, 1)
+        return _power(a, e, self._mul, 1)
 
     def inv(self, a):
         """a^(q - 2), the inverse of an element a in 1 .. q - 1."""
         if not (is_int(a) and 0 < a < self.q):
             raise InvalidArgument(f"{a!r} has no multiplicative inverse in {self!r}")
-        return _power(a, self.q - 2, self.mul, 1)
+        return _power(a, self.q - 2, self._mul, 1)
 
     # -- multiplicative structure ------------------------------------------
 
@@ -391,14 +410,14 @@ def _embedding(base, big):
     f = Poly(big, base.modulus)  # prime-subfield coefficients encode as themselves
     candidates = [0, 1]
     for _ in range(base.q - 2):
-        candidates.append(big.mul(candidates[-1], zeta))
+        candidates.append(big._mul(candidates[-1], zeta))
     root = min((x for x in candidates if f.eval(x) == 0), default=None)
     if root is None:
         raise CycloError("base modulus has no root in the extension")
     table = [0]
     for i in range(base.l):  # table[a] for every a < p^(i + 1), digit i major
         power = big.pow(root, i)
-        table = [big.add(t, big.mul(d, power)) for d in range(base.p) for t in table]
+        table = [big._add(t, big._mul(d, power)) for d in range(base.p) for t in table]
     return table, {img: a for a, img in enumerate(table)}
 
 

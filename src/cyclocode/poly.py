@@ -2,7 +2,10 @@
 
 Coefficients are stored ascending as field-element encodings (ints), with no
 trailing zeros; the zero polynomial is the empty tuple.  All operations are
-schoolbook and exact -- lengths here stay in the hundreds.
+schoolbook and exact -- lengths here stay in the hundreds.  Prime-subfield
+elements encode as themselves, so when every coefficient is below p, in any
+field, products and division run on plain ints reduced mod p; the field's
+add/mul look-ups serve only coefficients outside F_p.
 """
 
 from operator import index
@@ -83,6 +86,11 @@ class Poly:
         if self.ctx != other.ctx:
             raise InvalidArgument("polynomials over different fields")
 
+    def _over_fp(self, other):
+        """Whether the coefficients of self and other all lie in F_p."""
+        ctx = self.ctx
+        return ctx.l == 1 or max(self.coeffs + other.coeffs, default=0) < ctx.p
+
     def __eq__(self, other):
         return (
             isinstance(other, Poly)
@@ -110,12 +118,12 @@ class Poly:
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
-            out[i] = ctx.add(out[i], c)
+            out[i] = ctx._add(out[i], c)
         return Poly._of(ctx, out)
 
     def __neg__(self):
         ctx = self.ctx
-        return Poly._of(ctx, [ctx.neg(c) for c in self.coeffs])
+        return Poly._of(ctx, [ctx._mul(ctx.p - 1, c) for c in self.coeffs])
 
     def __sub__(self, other):
         return self + (-other)
@@ -124,11 +132,11 @@ class Poly:
         self._check(other)
         ctx = self.ctx
         a, b = self.coeffs, other.coeffs
-        if ctx.l == 1:
+        if self._over_fp(other):
             p = ctx.p
             return Poly._of(ctx, [c % p for c in _int_mul(a, b)])
         out = [0] * (len(a) + len(b) - 1)
-        add, mul = ctx.add, ctx.mul
+        add, mul = ctx._add, ctx._mul
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
@@ -136,8 +144,10 @@ class Poly:
         return Poly._of(ctx, out)
 
     def scale(self, c):
+        """c times self, for an element c of this polynomial's field."""
         ctx = self.ctx
-        return Poly._of(ctx, [ctx.mul(c, x) for x in self.coeffs])
+        ctx.check_element(c)
+        return Poly._of(ctx, [ctx._mul(c, x) for x in self.coeffs])
 
     def monic(self):
         if self.is_zero:
@@ -151,20 +161,30 @@ class Poly:
         self._check(other)
         if other.is_zero:
             raise InvalidArgument("polynomial division by zero")
-        ctx = self.ctx
-        add, mul = ctx.add, ctx.mul
-        rem = list(self.coeffs)
+        ctx, p = self.ctx, self.ctx.p
+        rem, b = list(self.coeffs), other.coeffs
         db = other.degree
-        inv_lead = ctx.inv(other.coeffs[-1])
         quot = [0] * max(len(rem) - db, 0)
+        if self._over_fp(other):
+            # over the integers: each leading coefficient is reduced as it is
+            # read, and the remainder once at the end
+            inv_lead = pow(b[-1], -1, p)
+            for i in range(len(rem) - 1 - db, -1, -1):
+                c = rem[i + db] % p
+                if c:
+                    f = quot[i] = c * inv_lead % p
+                    for j in range(db):
+                        rem[i + j] -= f * b[j]
+            return Poly._of(ctx, quot), Poly._of(ctx, [c % p for c in rem[:db]])
+        add, mul = ctx._add, ctx._mul
+        inv_lead = ctx.inv(b[-1])
         for i in range(len(rem) - 1 - db, -1, -1):
             c = rem[i + db]
             if c == 0:
                 continue
-            f = mul(c, inv_lead)
-            quot[i] = f
-            minus_f = mul(ctx.p - 1, f)  # one negation per step; the loop only adds
-            for j, bc in enumerate(other.coeffs):
+            f = quot[i] = mul(c, inv_lead)
+            minus_f = mul(p - 1, f)  # one negation per step; the loop only adds
+            for j, bc in enumerate(b):
                 rem[i + j] = add(rem[i + j], mul(minus_f, bc))
         return Poly._of(ctx, quot), Poly._of(ctx, rem)
 
@@ -178,7 +198,9 @@ class Poly:
         return a.monic() if not a.is_zero else a
 
     def pow_mod(self, e, mod):
-        """self^e modulo mod, by the field's square-and-multiply."""
+        """self^e modulo mod for an int e >= 0, by the field's square-and-multiply."""
+        if not (is_int(e) and e >= 0):
+            raise InvalidArgument(f"exponent must be an integer >= 0, got {e!r}")
         return _power(self % mod, e, lambda a, b: (a * b) % mod, Poly.one(self.ctx))
 
     # -- evaluation ----------------------------------------------------------
@@ -190,11 +212,10 @@ class Poly:
         first, as Poly(ext.field, [ext.embed(c) for c in f.coeffs]).
         """
         ctx = self.ctx
-        if not (is_int(a) and 0 <= a < ctx.q):
-            raise InvalidArgument(f"{a!r} is not an element of {ctx!r}")
+        ctx.check_element(a)
         acc = 0
         for c in reversed(self.coeffs):
-            acc = ctx.add(ctx.mul(acc, a), c)
+            acc = ctx._add(ctx._mul(acc, a), c)
         return acc
 
 

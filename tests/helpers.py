@@ -14,6 +14,9 @@ import math
 
 from cyclocode.codes import _as_matrix
 
+# Fields whose prime subfield is proper; F_{2^10} has no tables.
+SUBFIELD_FIELDS = ["2^2", "2^3", "3^2", "2^10"]
+
 
 def _digits(ctx, a):
     return [a // ctx.p ** i % ctx.p for i in range(ctx.l)]
@@ -64,6 +67,35 @@ def naive_poly_mul(ctx, a, b):
     while out and out[-1] == 0:
         out.pop()
     return out
+
+
+def naive_poly_divmod(ctx, a, b):
+    """Quotient and remainder of coefficient lists a by b (ascending, b with a
+    nonzero leading coefficient) by schoolbook long division on
+    naive_field_add/mul, both with trailing zeros stripped."""
+    rem, db = list(a), len(b) - 1
+    minus_inv = naive_field_mul(ctx, ctx.p - 1, _naive_inv(ctx, b[-1]))
+    quot = [0] * max(len(rem) - db, 0)
+    for i in range(len(rem) - 1 - db, -1, -1):
+        f = naive_field_mul(ctx, minus_inv, rem[i + db])  # -(quotient coefficient)
+        quot[i] = naive_field_mul(ctx, ctx.p - 1, f)
+        for j, y in enumerate(b):
+            rem[i + j] = naive_field_add(ctx, rem[i + j], naive_field_mul(ctx, f, y))
+    for out in (quot, rem):
+        while out and out[-1] == 0:
+            out.pop()
+    return quot, rem
+
+
+
+def naive_poly_gcd(ctx, a, b):
+    """The monic gcd of two coefficient lists by Euclid on naive_poly_divmod."""
+    while b:
+        a, b = b, naive_poly_divmod(ctx, a, b)[1]
+    if not a:
+        return []
+    inv = _naive_inv(ctx, a[-1])
+    return [naive_field_mul(ctx, inv, c) for c in a]
 
 
 def naive_rref(ctx, rows):

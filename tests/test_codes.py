@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from helpers import (
+    SUBFIELD_FIELDS,
     macwilliams,
     naive_field_add,
     naive_field_mul,
@@ -427,6 +428,60 @@ def test_same_code_matches_the_naive_oracle(case):
     expected = naive_rref(ctx, a.rows) == naive_rref(ctx, b.rows)
     assert same_code(a, b) == expected
     assert same_code(b, a) == expected
+
+
+@st.composite
+def _membership_cases(draw):
+    """(field, a, b): a = [I_k | P] marked canonical and b its rows
+    recombined by a monomial or an invertible F_p matrix, as it is or with
+    one entry changed. Every entry is in F_p, or with raised, one entry of P
+    or of b is raised to an element outside F_p."""
+    ctx = parse_field(draw(st.sampled_from(["3", "5", *SUBFIELD_FIELDS])))
+    digit = st.integers(0, ctx.p - 1)
+    k, r = draw(st.integers(1, 4)), draw(st.integers(0, 4))
+    p_part = draw(st.lists(st.lists(digit, min_size=r, max_size=r), min_size=k, max_size=k))
+    raised = ctx.l > 1 and draw(st.booleans())
+    if raised and r and draw(st.booleans()):
+        p_part[draw(st.integers(0, k - 1))][draw(st.integers(0, r - 1))] = draw(st.integers(ctx.p, ctx.q - 1))
+    a = GenMatrix(ctx, _systematic(p_part)).rref()
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(k)))
+        scale = draw(st.lists(st.integers(1, ctx.p - 1), min_size=k, max_size=k))
+        mix = [[scale[i] if j == order[i] else 0 for j in range(k)] for i in range(k)]
+    else:
+        mix = draw(st.lists(st.lists(digit, min_size=k, max_size=k), min_size=k, max_size=k))
+        assume(len(naive_rref(ctx, mix)) == k)
+    b = []
+    for coeffs in mix:  # b = mix . a
+        word = [0] * a.n
+        for c, row in zip(coeffs, a.rows.tolist()):
+            word = [naive_field_add(ctx, x, naive_field_mul(ctx, c, y)) for x, y in zip(word, row)]
+        b.append(word)
+    i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, a.n - 1))
+    if raised and not (set(p_part[i]) - set(range(ctx.p))):
+        b[i][j] = draw(st.integers(ctx.p, ctx.q - 1))
+    elif draw(st.booleans()):
+        b[i][j] = (b[i][j] + draw(st.integers(1, ctx.p - 1))) % ctx.p  # another element
+    assume(codes._independent(np.array(b)))  # so same_code decides by membership
+    return ctx.literal(), a.rows.tolist(), b
+
+
+# same_code's membership test multiplies the entries themselves mod p when
+# both sides lie in F_p, and their digits otherwise. The examples: row sums
+# over F_2 and scaled rows over F_9 that only match mod p, and an entry equal
+# to p, the least element outside F_p.
+@settings(max_examples=200, deadline=None)
+@given(_membership_cases())
+@example(("2", [[1, 0, 1, 0], [0, 1, 1, 1]], [[1, 1, 0, 1], [0, 1, 1, 1]]))
+@example(("3^2", [[1, 0, 1, 2], [0, 1, 2, 2]], [[2, 0, 2, 1], [0, 2, 1, 1]]))
+@example(("2^2", [[1, 2]], [[1, 2]]))
+@example(("2^2", [[1, 1]], [[1, 2]]))
+def test_same_code_membership_over_a_subfield_matches_the_naive_oracle(case):
+    literal, a, b = case
+    ctx = parse_field(literal)
+    expected = naive_rref(ctx, a) == naive_rref(ctx, b)
+    a, b = GenMatrix(ctx, a).rref(), GenMatrix(ctx, b)
+    assert same_code(a, b) == same_code(b, a) == expected
 
 
 def test_sum_codes():
@@ -1057,6 +1112,32 @@ def test_generator_matrix_edge_cases(literal):
     zero = from_generator(Poly.x_n_minus_1(ctx, n), n)  # k = 0: no rows
     for c in (whole, zero, build_repetition(n, ctx), dual(build_repetition(n, ctx))):
         _check_generator_matrix(c)
+
+
+@st.composite
+def _subfield_generators(draw):
+    """(field, g, n): over one of SUBFIELD_FIELDS, g the coefficients of a
+    product of distinct Q_d, d | n, which lie in F_p, so the LFSR runs on
+    ints mod p."""
+    ctx = parse_field(draw(st.sampled_from(SUBFIELD_FIELDS)))
+    n = draw(st.sampled_from([n for n in range(1, 31) if n % ctx.p]))
+    g = Poly.one(ctx)
+    for d in draw(st.lists(st.sampled_from(profile(n).divisors), unique=True)):
+        g = g * cyclotomic_poly(d, ctx)
+    return ctx.literal(), list(g.coeffs), n
+
+
+# The examples' generators have a root of unity a outside F_p as a
+# coefficient, so their LFSR runs through the field's look-ups; a = p is the
+# least such element.
+@settings(max_examples=100, deadline=None)
+@given(_subfield_generators())
+@example(("2^2", [2, 1], 3))
+@example(("3^2", [3, 1], 8))
+@example(("2^3", [2, 3, 1], 7))
+def test_generator_matrix_over_a_subfield_matches_naive_rref_of_shifts(case):
+    literal, g, n = case
+    _check_generator_matrix(from_generator(Poly(parse_field(literal), g), n))
 
 
 # F_{2^10} is above TABLE_LIMIT, so its arithmetic is digit by digit.

@@ -38,6 +38,25 @@ def test_profile_examples():
     assert p12.factorization == ((2, 2), (3, 1))
 
 
+def test_profile_divisors_and_phi_match_a_scan():
+    # the divisors are read off the factorization; a scan of 1 ... n checks them
+    for n in list(range(1, 400)) + [720720, 2 ** 20, 3 ** 5 * 7 ** 3, 65521]:
+        p = profile(n)
+        assert p.divisors == tuple(d for d in range(1, n + 1) if n % d == 0)
+        if n < 400:
+            assert p.phi == sum(math.gcd(n, k) == 1 for k in range(1, n + 1))
+        assert profile(n) is p
+
+
+def test_cyclotomic_poly_is_shared_and_still_checks_its_arguments():
+    ctx = parse_field("2^2")
+    q15 = cyclotomic_poly(15, ctx)
+    assert cyclotomic_poly(15, parse_field("2^2")) is q15
+    assert list(q15.coeffs) == [c % 2 for c in cyclotomic_int(15)]
+    with pytest.raises(InvalidArgument, match="characteristic 2 divides n = 6"):
+        cyclotomic_poly(6, ctx)  # the shared result is taken only after the check
+
+
 def test_n_checks_raise_library_errors():
     for call in (lambda: profile(0), lambda: cyclotomic_poly(0, F2)):
         with pytest.raises(CycloError):

@@ -18,7 +18,7 @@ from cyclocode.field import (
     nth_root_of_unity,
     parse_field,
 )
-from cyclocode.poly import is_irreducible
+from cyclocode.poly import Poly, is_irreducible
 from helpers import naive_field_add, naive_field_mul
 
 # Table fields: every pair is checked up to q = 64, seeded pairs above.
@@ -86,6 +86,28 @@ def test_pow_refuses_a_base_that_is_not_an_element(literal, a):
         with pytest.raises(InvalidArgument) as exc:
             ctx.pow(a, e)
         assert str(exc.value) == f"{a!r} is not an element of {ctx!r}"
+
+
+@pytest.mark.parametrize("literal,a", [
+    ("7", 9), ("7", 7), ("7", -1), ("2^2", 4), ("2^10", 5000), ("2^10", 1024), ("5", 2.0), ("5", True),
+])
+def test_scalar_arithmetic_refuses_a_non_element(literal, a):
+    # over F_7 mul(3, 9) once returned 1 and neg(9) raised IndexError; over
+    # F_{2^10}, where the digit rule runs, mul(5000, 3) returned 145
+    ctx = parse_field(literal)
+    message = f"{a!r} is not an element of {ctx!r}"
+    for call in (
+        lambda: ctx.add(a, 1), lambda: ctx.add(1, a),
+        lambda: ctx.mul(a, 3), lambda: ctx.mul(3, a),
+        lambda: ctx.neg(a),
+        lambda: Poly(ctx, [1, 2]).scale(a),
+    ):
+        with pytest.raises(InvalidArgument) as exc:
+            call()
+        assert str(exc.value) == message
+    last = ctx.q - 1  # the last element is accepted
+    assert ctx.add(last, 0) == ctx.mul(last, 1) == Poly(ctx, [1]).scale(last).coeffs[0] == last
+    assert ctx.add(last, ctx.neg(last)) == 0
 
 
 @pytest.mark.parametrize("literal", TABLE_FIELDS)

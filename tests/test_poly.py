@@ -1,14 +1,16 @@
 import random
+import signal
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cyclocode.errors import CycloError, InvalidArgument
-from cyclocode.field import make_extension, make_prime_field, parse_field
+from cyclocode.field import FieldCtx, make_extension, make_prime_field, parse_field
 from cyclocode.cyclotomic import cyclotomic_poly
 from cyclocode.poly import Poly, is_irreducible, reciprocal
-from helpers import naive_poly_mul
+from helpers import SUBFIELD_FIELDS, naive_poly_divmod, naive_poly_gcd, naive_poly_mul
 
 F2 = make_prime_field(2)
 F3 = make_prime_field(3)
@@ -258,3 +260,70 @@ def test_gcd_with_the_zero_polynomial(literal):
     f, zero = Poly(ctx, [1, 0, ctx.q - 1]), Poly(ctx, [])
     assert f.gcd(zero) == zero.gcd(f) == f.monic()
     assert zero.gcd(zero) == zero
+
+
+@pytest.mark.parametrize("e", [-1, -8, 2.5, True, "3", None])
+def test_pow_mod_refuses_an_exponent_that_is_not_an_int_from_0(e):
+    # -1 once never returned, as e >>= 1 stays -1; 2.5 raised a bare TypeError
+    # and True was taken as 1. The alarm fails a call that loops.
+    def stuck(signum, frame):
+        raise TimeoutError(f"pow_mod({e!r}, m) did not return")
+
+    previous = signal.signal(signal.SIGALRM, stuck)
+    signal.alarm(5)
+    try:
+        with pytest.raises(InvalidArgument) as exc:
+            Poly.x(F3).pow_mod(e, Poly(F3, [1, 0, 1]))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert str(exc.value) == f"exponent must be an integer >= 0, got {e!r}"
+
+
+@st.composite
+def _subfield_cases(draw):
+    """(field, a, b): ascending coefficient lists, b with a nonzero leading
+    coefficient, all in F_p, or with one coefficient of a or b raised to an
+    element outside F_p."""
+    ctx = parse_field(draw(st.sampled_from(SUBFIELD_FIELDS)))
+    digit = st.integers(0, ctx.p - 1)
+    a = draw(st.lists(digit, max_size=12))
+    b = draw(st.lists(digit, max_size=6)) + [draw(st.integers(1, ctx.p - 1))]
+    if draw(st.booleans()):
+        side = draw(st.sampled_from([a, b] if a else [b]))
+        side[draw(st.integers(0, len(side) - 1))] = draw(st.integers(ctx.p, ctx.q - 1))
+    return ctx.literal(), a, b
+
+
+# Coefficients in F_p go through int arithmetic mod p in every field, and a
+# coefficient outside F_p through the field's look-ups. The examples hold a
+# coefficient equal to p, the least element outside F_p.
+@settings(max_examples=200, deadline=None)
+@given(_subfield_cases())
+@example(("2^2", [2, 0, 1, 1], [1, 1]))
+@example(("2^2", [1, 1, 0, 1], [2, 1]))
+@example(("3^2", [1, 2, 0, 2, 1], [3, 2, 1]))
+@example(("2^10", [1, 0, 1, 1], [1, 2]))
+@example(("3^2", [2, 1, 1, 2, 0, 1], [1, 2, 1]))
+def test_subfield_arithmetic_matches_the_naive_oracle(case):
+    literal, a, b = case
+    ctx = parse_field(literal)
+    f, g = Poly(ctx, a), Poly(ctx, b)
+    assert list((f * g).coeffs) == naive_poly_mul(ctx, a, b)
+    quot, rem = divmod(f, g)
+    assert (list(quot.coeffs), list(rem.coeffs)) == naive_poly_divmod(ctx, list(f.coeffs), b)
+    assert list(f.gcd(g).coeffs) == naive_poly_gcd(ctx, list(f.coeffs), b)
+
+
+@pytest.mark.parametrize("literal", ["2", "5", *SUBFIELD_FIELDS])
+def test_subfield_products_and_division_make_no_field_look_up(literal):
+    ctx = parse_field(literal)
+    f = Poly(ctx, [ctx.p - 1, 1, 0, 1, 1, ctx.p - 1])
+    g = Poly(ctx, [1, ctx.p - 1, 1])
+    expected = naive_poly_divmod(ctx, list(f.coeffs), list(g.coeffs))
+    with mock.patch.object(FieldCtx, "_add", side_effect=AssertionError), \
+            mock.patch.object(FieldCtx, "_mul", side_effect=AssertionError):
+        product = f * g
+        quot, rem = divmod(f, g)
+    assert list(product.coeffs) == naive_poly_mul(ctx, f.coeffs, g.coeffs)
+    assert (list(quot.coeffs), list(rem.coeffs)) == expected
