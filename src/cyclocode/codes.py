@@ -39,7 +39,7 @@ import numpy as np
 from .cyclotomic import cosets, cyclotomic_cofactor, cyclotomic_poly, multiplicative_order_mod
 from .errors import BudgetExceeded, CycloError, InvalidArgument
 from .field import (
-    _digit_array, _digit_sum, _read_only, check_field, check_n, is_int, is_prime,
+    _digit_sum, _read_only, check_field, check_n, is_int, is_prime,
     make_extension, nth_root_of_unity,
 )
 from .poly import Poly, reciprocal
@@ -53,8 +53,8 @@ MAX_BUDGET = (1 << 63) - 1
 # measured slower and raised peak memory.  A field with q > 2^13 holds a
 # table of q columns whenever the code has more than one symbol.
 _LOW_TABLE = 1 << 13
-# same_code's digit product is exact while each of its sums, k l products of
-# two digits below p, stays below this.
+# same_code's membership product is exact while each of its sums, k products
+# of two elements of F_p, stays below this.
 _INT64_BOUND = 1 << 63
 
 
@@ -63,6 +63,7 @@ class GenMatrix:
     __setattr__ = __delattr__ = _read_only
 
     def __init__(self, ctx, rows, n=None):
+        check_field(ctx)
         try:
             arr = np.array(rows)
         except ValueError:  # ragged rows
@@ -107,7 +108,7 @@ class GenMatrix:
 
     def rref(self):
         """Canonical RREF: Gauss-Jordan whose row operations act on whole rows
-        through the field's element-wise add_array/mul_array."""
+        through the field's element-wise _add_array/_mul_array."""
         if self.canonical:
             return self
         ctx = self.ctx
@@ -123,14 +124,14 @@ class GenMatrix:
                 rows[[top, top + below[0]]] = rows[[top + below[0], top]]
             inv = ctx.inv(int(rows[top, col]))
             if inv != 1:
-                rows[top] = ctx.mul_array(inv, rows[top])
+                rows[top] = ctx._mul_array(inv, rows[top])
             factors = rows[:, col].copy()
             factors[top] = 0
             hit = factors.nonzero()[0]
             if hit.size:
-                minus_pivot = ctx.mul_array(ctx.p - 1, rows[top])
-                scaled = ctx.mul_array(factors[hit, None], minus_pivot)
-                rows[hit] = ctx.add_array(rows[hit], scaled)
+                minus_pivot = ctx._mul_array(ctx.p - 1, rows[top])
+                scaled = ctx._mul_array(factors[hit, None], minus_pivot)
+                rows[hit] = ctx._add_array(rows[hit], scaled)
             top += 1
         return GenMatrix._of(ctx, rows[:top])
 
@@ -213,7 +214,7 @@ class CyclicCode:
             p, add, mul = ctx.p, ctx._add, ctx._mul
             t = list(self.g.coeffs[:r])
             over_fp = max(t) < p
-            feedback = ctx.mul_array(p - 1, np.array(t)).tolist()
+            feedback = ctx._mul_array(p - 1, np.array(t)).tolist()
             block = []
             for _ in range(k):
                 block.append(t)
@@ -356,35 +357,26 @@ def same_code(a, b):
     """Row-space equality, by membership when one side is [I_k | P].
 
     If one side is canonical with pivots 0 ... k - 1, as every cyclic code's
-    generator matrix is, and every row of the other has a column where it
-    alone is nonzero, so that its rows are independent, the codes are equal
-    iff the other has k rows and each of its rows v has v[k:] = v[:k] P.
-    That is one int64 product mod p, of the entries themselves when v and P
-    lie in F_p, else of their base-p digits over F_p, exact while
-    k l (p - 1)^2 < 2^63: always for a parse_field field, and not for a
-    FieldCtx prime near 2^24 with k >= 2^15.  Any other pair is compared by
-    identical reduced row-echelon forms.
+    generator matrix is, every entry of both sides lies in F_p, as those of
+    every code built from Q_n do, and each row of the other side has a
+    column where it alone is nonzero, which proves its rows independent,
+    the codes are equal iff the other has k rows and each of its rows v has
+    v[k:] = v[:k] P: one int64 product mod p, exact while k (p - 1)^2 < 2^63,
+    which holds for every parse_field field, but not for a FieldCtx prime
+    near 2^24 with k >= 2^15.  Any other pair is compared by identical RREFs.
     """
     ma, mb = _matrices(a, b)
     if mb.canonical and not ma.canonical:
         ma, mb = mb, ma
-    ctx, k, v = ma.ctx, ma.num_rows, mb.rows
-    p, l = ctx.p, ctx.l
+    p, k, v = ma.ctx.p, ma.num_rows, mb.rows
     if (
         ma.canonical and not mb.canonical
-        and k * l * (p - 1) ** 2 < _INT64_BOUND
-        and np.array_equal(_pivot_columns(ma), np.arange(k))
+        and k * (p - 1) ** 2 < _INT64_BOUND
+        and max(ma.rows.max(initial=0), v.max(initial=0)) < p
+        and (not k or ma.rows[k - 1, k - 1])  # RREF pivots rise: the last at k - 1 puts each i at i
         and _independent(v)
     ):
-        if len(v) != k:
-            return False
-        parity = ma.rows[:, k:]  # P
-        if max(v.max(initial=0), parity.max(initial=0)) < p:
-            return np.array_equal(v[:, :k] @ parity % p, v[:, k:])
-        digits = _digit_array(v, p, l)
-        head = digits[:, :k].reshape(k, k * l)
-        tail = digits[:, k:].reshape(k, (ma.n - k) * l)
-        return np.array_equal(head @ ctx.expand(parity) % p, tail)
+        return len(v) == k and np.array_equal(v[:, :k] @ ma.rows[:, k:] % p, v[:, k:])
     return np.array_equal(ma.rref().rows, mb.rref().rows)
 
 
@@ -393,11 +385,6 @@ def _independent(rows):
     the rows linearly independent."""
     nonzero = rows != 0
     return bool(nonzero[:, nonzero.sum(axis=0) == 1].any(axis=1).all())
-
-
-def _pivot_columns(m):
-    """The column of each row's leading 1 in a canonical matrix."""
-    return (m.rows != 0).argmax(axis=1) if m.num_rows else np.zeros(0, dtype=np.int64)
 
 
 def sum_codes(a, b):
@@ -410,7 +397,7 @@ def sum_codes(a, b):
 # -- exhaustive enumeration ----------------------------------------------------
 
 def _symbol_layout(m):
-    """The prime-field expansion of m by FieldCtx.expand, in the layout that
+    """The prime-field expansion of m by FieldCtx._expand, in the layout that
     _weights walks, with the add of two rows and the weights of a table's columns.
 
     Over p = 2 each row is l bit planes, plane t holding digit t of the n
@@ -423,7 +410,7 @@ def _symbol_layout(m):
     have the same digits.
     """
     p, l, n = m.ctx.p, m.ctx.l, m.n
-    rows = m.ctx.expand(m.rows)
+    rows = m.ctx._expand(m.rows)
     count = np.min_scalar_type(n)
     if p == 2:
         planes = rows.reshape(len(rows), n, l).transpose(0, 2, 1)

@@ -17,7 +17,8 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import CycloError, InvalidArgument
-from .field import _int_mul, check_n, factorize, is_int, make_extension, nth_root_of_unity
+from .field import _int_mul, check_field, check_n, factorize, is_int
+from .field import make_extension, nth_root_of_unity
 from .poly import Poly
 
 
@@ -100,11 +101,10 @@ def cyclotomic_int(n):
 
 
 def _check_length(n, ctx):
+    check_field(ctx)
     check_n(n)
     if n % ctx.p == 0:
-        raise InvalidArgument(
-            f"characteristic {ctx.p} divides n = {n}"
-        )
+        raise InvalidArgument(f"characteristic {ctx.p} divides n = {n}")
 
 
 def _reduce(coeffs, ctx):
@@ -141,6 +141,7 @@ def cyclotomic_cofactor(n, ctx, without_q1=False):
 
 def verify_factorization(n, ctx):
     """Check x^n - 1 = prod over d | n of Q_d, exactly over the field."""
+    _check_length(n, ctx)
     prod = Poly.one(ctx)
     for d in profile(n).divisors:
         prod = prod * cyclotomic_poly(d, ctx)
@@ -190,6 +191,7 @@ def multiplicative_order_mod(q, n):
 
 def minimal_poly(s, n, ctx):
     """M^(s) = prod over j in the coset of s of (x - zeta^j), as a base-field Poly."""
+    check_field(ctx)
     coset = _coset(s, n, ctx.q)  # checks s, n and q first
     ext = make_extension(ctx, multiplicative_order_mod(ctx.q, n))
     big = ext.field

@@ -41,10 +41,15 @@ def check_n(n):
         raise InvalidArgument(f"n must be an integer >= 1, got {n!r}")
 
 
+def check_type(value, kind, name):
+    """Raise InvalidArgument unless value is a kind; the message calls it name."""
+    if not isinstance(value, kind):
+        raise InvalidArgument(f"{name} must be a {kind.__name__}, got {value!r}")
+
+
 def check_field(ctx, name="field"):
     """Raise InvalidArgument unless ctx is a FieldCtx; the message calls it name."""
-    if not isinstance(ctx, FieldCtx):
-        raise InvalidArgument(f"{name} must be a FieldCtx, got {ctx!r}")
+    check_type(ctx, FieldCtx, name)
 
 
 def _read_only(self, *args):
@@ -141,7 +146,7 @@ class FieldCtx:
     too, is refused before the modulus search."""
     __setattr__ = __delattr__ = _read_only
     # None until set: the tables by _build_tables, up to TABLE_LIMIT; gamma on first use
-    _add_table = _mul_table = _add_array = _mul_array = _primitive = None
+    _add_table = _mul_table = _add_grid = _mul_grid = _primitive = None
 
     def __init__(self, p, l=1):
         _check_prime(p, l)
@@ -160,13 +165,13 @@ class FieldCtx:
 
         gamma = primitive_element() is found by digit arithmetic, as no table
         is set yet. a -> a*gamma is F_p-linear, so its image of all q elements
-        is one digit-matrix product mod p, by expand([[gamma]]), the digits of
+        is one digit-matrix product mod p, by _expand([[gamma]]), the digits of
         the l products gamma*u^j; exp[i] = gamma^i is the walk
         1 -> gamma -> gamma^2 ... over that permutation, and log is its
         inverse, so a*b = exp[(log a + log b) mod (q - 1)] for nonzero a, b.
         Sums act digit by digit: XOR for p = 2, otherwise _digit_sum of one
         digit plane at a time. Both tables are kept as q x q arrays of the
-        smallest dtype holding q - 1, for add_array/mul_array, and as flat
+        smallest dtype holding q - 1, for _add_array/_mul_array, and as flat
         lists, so add/mul stay one list index.
         """
         q, p, l = self.q, self.p, self.l
@@ -176,7 +181,7 @@ class FieldCtx:
         # log sums and digit sums reach 2(q - 2), so hold them in a type for 2q
         dt = np.min_scalar_type(2 * q)
         digits = _digit_array(np.arange(q), p, l)  # [a, t]: digit t of a
-        times = _from_digit_array(digits @ self.expand([[gamma]]), p).tolist()
+        times = _from_digit_array(digits @ self._expand([[gamma]]), p).tolist()
         exp = [1]
         for _ in range(q - 2):
             exp.append(times[exp[-1]])
@@ -194,10 +199,10 @@ class FieldCtx:
             for t, digit in enumerate(digits.T.astype(dt)):
                 add += _digit_sum(digit[:, None], digit, p) * p ** t
         elem = np.min_scalar_type(q - 1)
-        object.__setattr__(self, "_add_array", add.astype(elem))
-        object.__setattr__(self, "_mul_array", mul.astype(elem))
-        object.__setattr__(self, "_add_table", self._add_array.ravel().tolist())
-        object.__setattr__(self, "_mul_table", self._mul_array.ravel().tolist())
+        object.__setattr__(self, "_add_grid", add.astype(elem))
+        object.__setattr__(self, "_mul_grid", mul.astype(elem))
+        object.__setattr__(self, "_add_table", self._add_grid.ravel().tolist())
+        object.__setattr__(self, "_mul_table", self._mul_grid.ravel().tolist())
 
     def _add_raw(self, a, b):
         """a + b by the digit rule of every field without tables: the base-p
@@ -253,26 +258,26 @@ class FieldCtx:
         self.check_element(b)
         return self._mul(a, b)
 
-    def add_array(self, a, b):
+    def _add_array(self, a, b):
         """Element-wise sum of two broadcastable arrays of elements, unchecked."""
-        if self._add_array is not None:
-            return self._add_array[a, b]
+        if self._add_grid is not None:
+            return self._add_grid[a, b]
         return np.frompyfunc(self._add, 2, 1)(a, b).astype(np.int64)
 
-    def mul_array(self, a, b):
+    def _mul_array(self, a, b):
         """Element-wise product of two broadcastable arrays of elements, unchecked."""
-        if self._mul_array is not None:
-            return self._mul_array[a, b]
+        if self._mul_grid is not None:
+            return self._mul_grid[a, b]
         return np.frompyfunc(self._mul, 2, 1)(a, b).astype(np.int64)
 
-    def expand(self, rows):
+    def _expand(self, rows):
         """The k x n array rows over F_{p^l} as the (k l) x (n l) array over
         F_p of its digits: row r l + s, column j l + t holds digit t of
         u^s * rows[r, j].  Entries use the smallest unsigned dtype that holds
         a sum of two of them, uint8 for every p <= 128."""
         p, l = self.p, self.l
         rows = np.asarray(rows)
-        multiples = self.mul_array(p ** np.arange(l)[:, None], rows[:, None, :])  # [r, s, j]
+        multiples = self._mul_array(p ** np.arange(l)[:, None], rows[:, None, :])  # [r, s, j]
         digits = _digit_array(multiples, p, l).reshape(len(rows) * l, rows.shape[1] * l)
         return digits.astype(np.min_scalar_type(2 * (p - 1)))
 
@@ -407,7 +412,7 @@ def _embedding(base, big):
     from .poly import Poly
 
     zeta = nth_root_of_unity(big, base.q - 1)  # F_q* is the group it generates
-    f = Poly(big, base.modulus)  # prime-subfield coefficients encode as themselves
+    f = Poly._of(big, list(base.modulus))  # prime-subfield coefficients encode as themselves
     candidates = [0, 1]
     for _ in range(base.q - 2):
         candidates.append(big._mul(candidates[-1], zeta))
@@ -423,6 +428,7 @@ def _embedding(base, big):
 
 def nth_root_of_unity(ctx, n):
     """The canonical primitive n-th root of unity gamma^((q-1)/n)."""
+    check_field(ctx)
     check_n(n)
     if (ctx.q - 1) % n != 0:
         raise InvalidArgument(f"{n} does not divide q-1 = {ctx.q - 1}")

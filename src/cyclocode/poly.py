@@ -11,7 +11,7 @@ add/mul look-ups serve only coefficients outside F_p.
 from operator import index
 
 from .errors import InvalidArgument
-from .field import _int_mul, _power, _read_only, check_n, factorize, is_int
+from .field import _int_mul, _power, _read_only, check_field, check_n, check_type, factorize, is_int
 
 
 def _stripped(cs):
@@ -29,6 +29,7 @@ class Poly:
         # normalize: integers only (Python or numpy, not bool, which index()
         # reads as 0 or 1), reduced mod p over a prime field, zeros stripped;
         # an extension-field one must be in [0, q) already
+        check_field(ctx)
         try:
             cs = [index(c) % ctx.p for c in coeffs] if ctx.l == 1 else [index(c) for c in coeffs]
         except TypeError:
@@ -61,6 +62,7 @@ class Poly:
 
     @classmethod
     def x_n_minus_1(cls, ctx, n):
+        check_field(ctx)
         check_n(n)
         return cls(ctx, [ctx.neg(1)] + [0] * (n - 1) + [1])
 
@@ -83,6 +85,7 @@ class Poly:
         return self.coeffs[0] if self.coeffs else 0
 
     def _check(self, other):
+        check_type(other, Poly, "operand")
         if self.ctx != other.ctx:
             raise InvalidArgument("polynomials over different fields")
 
@@ -126,6 +129,7 @@ class Poly:
         return Poly._of(ctx, [ctx._mul(ctx.p - 1, c) for c in self.coeffs])
 
     def __sub__(self, other):
+        self._check(other)
         return self + (-other)
 
     def __mul__(self, other):
@@ -192,6 +196,7 @@ class Poly:
         return divmod(self, other)[1]
 
     def gcd(self, other):
+        self._check(other)
         a, b = self, other
         while not b.is_zero:
             a, b = b, a % b
@@ -201,7 +206,7 @@ class Poly:
         """self^e modulo mod for an int e >= 0, by the field's square-and-multiply."""
         if not (is_int(e) and e >= 0):
             raise InvalidArgument(f"exponent must be an integer >= 0, got {e!r}")
-        return _power(self % mod, e, lambda a, b: (a * b) % mod, Poly.one(self.ctx))
+        return _power(self % mod, e, lambda a, b: (a * b) % mod, Poly._of(self.ctx, [1]))
 
     # -- evaluation ----------------------------------------------------------
 
@@ -224,6 +229,7 @@ _set_ctx, _set_coeffs = Poly.ctx.__set__, Poly.coeffs.__set__
 
 def reciprocal(f):
     """x^deg(f) * f(1/x): reversed coefficients, trailing zeros stripped."""
+    check_type(f, Poly, "polynomial")
     if f.is_zero:
         raise InvalidArgument("zero polynomial has no reciprocal")
     return Poly._of(f.ctx, list(reversed(f.coeffs)))
@@ -231,12 +237,13 @@ def reciprocal(f):
 
 def is_irreducible(f):
     """Rabin irreducibility test over the polynomial's field."""
+    check_type(f, Poly, "polynomial")
     if f.is_zero or f.degree < 1:
         raise InvalidArgument("irreducibility needs degree >= 1")
     ctx = f.ctx
     q = ctx.q
     m = f.degree
-    x = Poly.x(ctx)
+    x = Poly._of(ctx, [0, 1])  # unchecked: field.py may pass a field of an older import
     if m == 1:
         return True
     # x^(q^m) == x (mod f)

@@ -17,7 +17,7 @@ from functools import lru_cache
 from . import codes, tensor
 from .cyclotomic import profile, verify_factorization
 from .errors import BudgetExceeded, ConfigInvalid, CycloError, InvalidArgument
-from .field import is_int, is_prime, parse_field
+from .field import check_type, is_int, is_prime, parse_field
 from .report import FORMATS, VerificationRecord
 
 DEFAULT_FIELDS = ["2", "3", "2^2", "5", "7", "2^3", "3^2"]
@@ -212,6 +212,7 @@ def _not_applicable(theorem, q, pr):
 
 def sweep(cfg):
     """One record per (field, n, theorem), ordered by field, then n, then theorem."""
+    check_type(cfg, SweepConfig, "sweep config")
     cfg.validate()
     records = []
     lo, hi = cfg.n_range

@@ -327,7 +327,7 @@ def test_same_code_decides_membership_without_row_reduction(row_reductions):
     c = build_Cn(20, F3)
     g = c.generator_matrix().rows
     # rows scaled and reordered keep a unit column each: decided by membership
-    monomial = GenMatrix(F3, F3.mul_array(2, g[::-1]))
+    monomial = GenMatrix(F3, 2 * g[::-1] % 3)
     assert same_code(monomial, c) and same_code(c, monomial)
     wrong = np.array(monomial.rows)
     wrong[0, -1] = F3.add(int(wrong[0, -1]), 1)
@@ -349,7 +349,7 @@ def test_same_code_needs_pivots_0_to_k_minus_1(row_reductions):
 
 @pytest.mark.parametrize("bound,membership", [(9, True), (8, False)])
 def test_same_code_row_reduces_beyond_the_int64_bound(monkeypatch, row_reductions, bound, membership):
-    """Over F_3 with k = 2 each digit of the product sums k l (p - 1)^2 = 8 at
+    """Over F_3 with k = 2 each entry of the product sums k (p - 1)^2 = 8 at
     most: membership runs while that is below the bound, else row reduction."""
     monkeypatch.setattr(codes, "_INT64_BOUND", bound)
     basis = GenMatrix._of(F3, [[1, 0, 2, 2], [0, 1, 1, 2]])  # an RREF
@@ -359,7 +359,7 @@ def test_same_code_row_reduces_beyond_the_int64_bound(monkeypatch, row_reduction
 
 
 def test_the_int64_bound_holds_for_every_parse_field_field():
-    # a parse_field field has p <= 2^16, so (p - 1)^2 < 2^32 and k l < 2^31 is enough
+    # a parse_field field has p <= 2^16, so (p - 1)^2 < 2^32 and k < 2^31 is enough
     assert (1 << 31) * (65521 - 1) ** 2 < codes._INT64_BOUND
     # the largest prime below 2^24, which FieldCtx builds, passes it at k = 2^15
     p = 16777213
@@ -467,7 +467,7 @@ def _membership_cases(draw):
 
 
 # same_code's membership test multiplies the entries themselves mod p when
-# both sides lie in F_p, and their digits otherwise. The examples: row sums
+# both sides lie in F_p, and row-reduces otherwise. The examples: row sums
 # over F_2 and scaled rows over F_9 that only match mod p, and an entry equal
 # to p, the least element outside F_p.
 @settings(max_examples=200, deadline=None)
@@ -482,6 +482,42 @@ def test_same_code_membership_over_a_subfield_matches_the_naive_oracle(case):
     expected = naive_rref(ctx, a) == naive_rref(ctx, b)
     a, b = GenMatrix(ctx, a).rref(), GenMatrix(ctx, b)
     assert same_code(a, b) == same_code(b, a) == expected
+
+
+@st.composite
+def _fp_membership_cases(draw):
+    """(field, a, b, raised): over one of SUBFIELD_FIELDS, a = [I_k | P] with
+    P over F_p and b its rows reordered and scaled by units of F_p, as they
+    are or with an entry of P's columns changed within F_p, so that each row
+    of b keeps a unit column; raised is (a, b) with one entry of P or of
+    b's P columns raised to an element outside F_p."""
+    ctx = parse_field(draw(st.sampled_from(SUBFIELD_FIELDS)))
+    p = ctx.p
+    k, r = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    a = _systematic(draw(st.lists(st.lists(st.integers(0, p - 1), min_size=r, max_size=r), min_size=k, max_size=k)))
+    order = draw(st.permutations(range(k)))
+    b = [[draw(st.integers(1, p - 1)) * x % p for x in a[i]] for i in order]
+    i, j = draw(st.integers(0, k - 1)), draw(st.integers(k, k + r - 1))
+    if draw(st.booleans()):
+        b[i][j] = (b[i][j] + draw(st.integers(1, p - 1))) % p  # another element of F_p
+    raised = [[list(row) for row in a], [list(row) for row in b]]
+    raised[draw(st.integers(0, 1))][i][j] = draw(st.integers(p, ctx.q - 1))
+    return ctx, (a, b), raised
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fp_membership_cases())
+def test_same_code_row_reduces_only_rows_outside_the_prime_subfield(case):
+    """F_p rows against an F_p [I_k | P] are decided by membership with no
+    row reduction; the same rows with one entry raised outside F_p are
+    row-reduced. Both agree with the naive oracle."""
+    ctx, fp, raised = case
+    for (a, b), reduced in ((fp, False), (raised, True)):
+        expected = naive_rref(ctx, a) == naive_rref(ctx, b)
+        ma, mb = GenMatrix._of(ctx, a), GenMatrix(ctx, b)
+        with mock.patch.object(GenMatrix, "rref", autospec=True, side_effect=GenMatrix.rref) as rref:
+            assert same_code(ma, mb) == same_code(mb, ma) == expected
+        assert [c.args[0] for c in rref.call_args_list if not c.args[0].canonical] == [mb] * 2 * reduced
 
 
 def test_sum_codes():
@@ -1211,7 +1247,7 @@ def test_prime_field_expansion_matches_scalar_oracle(literal):
     rng = random.Random(13)
     for k, n in [(4, 6), (1, 1), (0, 3), (2, 0)]:
         rows = [[rng.randrange(ctx.q) for _ in range(n)] for _ in range(k)]
-        out = ctx.expand(GenMatrix(ctx, rows, n=n).rows)
+        out = ctx._expand(GenMatrix(ctx, rows, n=n).rows)
         assert out.shape == (k * ctx.l, n * ctx.l) and out.dtype == np.uint8
         assert out.tolist() == naive_prime_field_expansion(ctx, rows)
 

@@ -123,6 +123,9 @@ def test_cyclotomic_rejects_characteristic():
         cyclotomic_poly(3, F3)
     with pytest.raises(InvalidArgument, match="characteristic 2 divides"):
         cyclotomic_poly(6, F2)
+    # verify_factorization checks n itself, not only its divisors: it once named n = 2
+    with pytest.raises(InvalidArgument, match="characteristic 2 divides n = 4$"):
+        verify_factorization(4, F2)
 
 
 def test_cyclotomic_degree_and_monic():

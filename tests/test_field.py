@@ -432,7 +432,7 @@ def test_field_without_a_modulus_is_the_canonical_field(literal):
     assert ctx is not shared and ctx == shared
     assert ctx.modulus == shared.modulus
     assert ctx.primitive_element() == shared.primitive_element()
-    for name in ("_add_array", "_mul_array"):
+    for name in ("_add_grid", "_mul_grid"):
         mine, theirs = getattr(ctx, name), getattr(shared, name)
         assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
 
@@ -486,7 +486,7 @@ def test_canonical_modulus_matches_trial_division(p, d):
 
 @pytest.mark.parametrize("p,dtype", [(3, np.uint8), (127, np.uint8), (131, np.uint16)])
 def test_digit_sum_matches_mod_p_at_the_dtype_edge(p, dtype):
-    # the dtype FieldCtx.expand picks: 127 is the largest p whose
+    # the dtype FieldCtx._expand picks: 127 is the largest p whose
     # digit sums fit uint8, so its s - p wraps at 256
     assert np.min_scalar_type(2 * (p - 1)) == dtype
     digits = np.arange(p, dtype=dtype)
@@ -594,7 +594,7 @@ def test_array_arithmetic_matches_scalar(literal):
     a = np.array([[rng.randrange(ctx.q) for _ in range(6)] for _ in range(4)])
     b = np.array([rng.randrange(ctx.q) for _ in range(6)])
     s = rng.randrange(ctx.q)
-    for array_op, op in ((ctx.add_array, ctx.add), (ctx.mul_array, ctx.mul)):
+    for array_op, op in ((ctx._add_array, ctx.add), (ctx._mul_array, ctx.mul)):
         got = array_op(a, b)  # b broadcasts over the rows of a
         assert got.shape == a.shape
         assert got.tolist() == [[op(int(x), int(y)) for x, y in zip(row, b)] for row in a]

@@ -179,9 +179,9 @@ def test_verify_tensor_dual_fails_when_the_codes_differ(monkeypatch, row_reducti
     monkeypatch.setattr(tensor, "same_code", lambda a, b: False)
     rec = verify_tensor_dual(3, 5, F2)
     assert rec.status == "fail"
-    assert rec.measured == (15, 8, 4)  # the image's rank, by its one row reduction
+    assert rec.measured == (15, 8, 4)  # the image's rank: its row count, by its unit columns
     assert rec.note == ""
-    assert len(row_reductions) == 1
+    assert row_reductions == []
 
 
 # F_{2^10} has no tables; 33 divides 2^10 - 1, so its C_33 factors into small cosets
