@@ -13,13 +13,13 @@ import numpy as np
 
 from .errors import CycloError, InvalidArgument
 
-# Fields up to this order keep full q x q add/mul tables, built with
-# whole-array maps from the log/antilog of the primitive element, as numpy
-# arrays for whole-array arithmetic and as flat lists for scalar look-ups.
-# Every larger field adds and multiplies by one digit rule, _add_raw and
-# _mul_raw, whatever its p and l. At 512, F_{2^9} holds about 13 MB of tables;
-# a limit of 256 would make the zeros of C_511 over F_2, which live in
-# F_{2^9}, take 15-20x as long.
+# Extension fields up to this order keep full q x q add/mul tables, built
+# with whole-array maps from the log/antilog of the primitive element, as
+# numpy arrays for whole-array arithmetic and as flat lists for scalar
+# look-ups; larger ones add and multiply by one digit rule, _add_raw and
+# _mul_raw. A prime field is ints mod p. At 512, F_{2^9} holds about 13 MB
+# of tables; a limit of 256 would make the zeros of C_511 over F_2, which
+# live in F_{2^9}, take 15-20x as long.
 TABLE_LIMIT = 512
 
 # Support contract: FieldCtx(p, l) is always the canonical F_(p^l), and two caps
@@ -142,10 +142,10 @@ def _digit_sum(a, b, p):
 
 class FieldCtx:
     """The finite field F_{p^l}, always on _canonical_modulus(p, l); immutable
-    after construction. An order above ROOT_SEARCH_LIMIT, make_extension's cap
-    too, is refused before the modulus search."""
+    after construction; a prime field is ints mod p. An order above
+    ROOT_SEARCH_LIMIT, make_extension's cap too, is refused before the modulus search."""
     __setattr__ = __delattr__ = _read_only
-    # None until set: the tables by _build_tables, up to TABLE_LIMIT; gamma on first use
+    # None until set: extension fields' tables by _build_tables; gamma on first use
     _add_table = _mul_table = _add_grid = _mul_grid = _primitive = None
 
     def __init__(self, p, l=1):
@@ -160,8 +160,8 @@ class FieldCtx:
     # -- arithmetic -------------------------------------------------------
 
     def _build_tables(self):
-        """Fill the q x q add/mul tables from the log/antilog of gamma, for a
-        field of order up to TABLE_LIMIT; a larger one keeps no tables.
+        """Fill the q x q add/mul tables from the log/antilog of gamma, for an
+        extension field up to TABLE_LIMIT; a prime or larger field keeps none.
 
         gamma = primitive_element() is found by digit arithmetic, as no table
         is set yet. a -> a*gamma is F_p-linear, so its image of all q elements
@@ -175,7 +175,7 @@ class FieldCtx:
         lists, so add/mul stay one list index.
         """
         q, p, l = self.q, self.p, self.l
-        if q > TABLE_LIMIT:
+        if l == 1 or q > TABLE_LIMIT:
             return
         gamma = self.primitive_element()
         # log sums and digit sums reach 2(q - 2), so hold them in a type for 2q
@@ -205,15 +205,15 @@ class FieldCtx:
         object.__setattr__(self, "_mul_table", self._mul_grid.ravel().tolist())
 
     def _add_raw(self, a, b):
-        """a + b by the digit rule of every field without tables: the base-p
-        digits added one by one, mod p."""
+        """a + b by the digit rule of every extension field without tables:
+        the base-p digits added one by one, mod p."""
         p, l = self.p, self.l
         return _from_digits([x + y for x, y in zip(_digits(a, p, l), _digits(b, p, l))], p)
 
     def _mul_raw(self, a, b):
-        """a * b by the digit rule of every field without tables: the
-        schoolbook product of the digit vectors, reduced by the modulus
-        (u^l = -(modulus without its leading 1); nothing to reduce when l = 1)."""
+        """a * b by the digit rule of every extension field without tables:
+        the schoolbook product of the digit vectors, reduced by the modulus
+        (u^l = -(modulus without its leading 1))."""
         p, l = self.p, self.l
         prod = _int_mul(_digits(a, p, l), _digits(b, p, l))
         mod = self.modulus
@@ -230,6 +230,8 @@ class FieldCtx:
         package computed or checked already."""
         if self._add_table is not None:
             return self._add_table[a * self.q + b]
+        if self.l == 1:
+            return (a + b) % self.p
         return self._add_raw(a, b)
 
     def _mul(self, a, b):
@@ -237,6 +239,8 @@ class FieldCtx:
         package computed or checked already."""
         if self._mul_table is not None:
             return self._mul_table[a * self.q + b]
+        if self.l == 1:
+            return a * b % self.p
         return self._mul_raw(a, b)
 
     def check_element(self, a):
@@ -262,24 +266,31 @@ class FieldCtx:
         """Element-wise sum of two broadcastable arrays of elements, unchecked."""
         if self._add_grid is not None:
             return self._add_grid[a, b]
+        if self.l == 1:
+            return (a + b) % self.p
         return np.frompyfunc(self._add, 2, 1)(a, b).astype(np.int64)
 
     def _mul_array(self, a, b):
         """Element-wise product of two broadcastable arrays of elements, unchecked."""
         if self._mul_grid is not None:
             return self._mul_grid[a, b]
+        if self.l == 1:
+            return a * b % self.p
         return np.frompyfunc(self._mul, 2, 1)(a, b).astype(np.int64)
 
     def _expand(self, rows):
         """The k x n array rows over F_{p^l} as the (k l) x (n l) array over
         F_p of its digits: row r l + s, column j l + t holds digit t of
-        u^s * rows[r, j].  Entries use the smallest unsigned dtype that holds
-        a sum of two of them, uint8 for every p <= 128."""
+        u^s * rows[r, j], so a prime field's rows are their own digits.  They
+        are in the least unsigned dtype holding a sum of two, uint8 for p <= 128."""
         p, l = self.p, self.l
         rows = np.asarray(rows)
+        dtype = np.min_scalar_type(2 * (p - 1))
+        if l == 1:
+            return rows.astype(dtype)
         multiples = self._mul_array(p ** np.arange(l)[:, None], rows[:, None, :])  # [r, s, j]
         digits = _digit_array(multiples, p, l).reshape(len(rows) * l, rows.shape[1] * l)
-        return digits.astype(np.min_scalar_type(2 * (p - 1)))
+        return digits.astype(dtype)
 
     def pow(self, a, e):
         self.check_element(a)

@@ -57,10 +57,6 @@ class Poly:
         return cls(ctx, [1])
 
     @classmethod
-    def x(cls, ctx):
-        return cls(ctx, [0, 1])
-
-    @classmethod
     def x_n_minus_1(cls, ctx, n):
         check_field(ctx)
         check_n(n)

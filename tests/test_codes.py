@@ -1241,7 +1241,7 @@ def test_dual_involution_property(c):
     assert same_code(twice, c)
 
 
-@pytest.mark.parametrize("literal", ["2^2", "2^3", "3^2", "2^8", "2^10"])
+@pytest.mark.parametrize("literal", ["2", "5", "2^2", "2^3", "3^2", "2^8", "2^10"])
 def test_prime_field_expansion_matches_scalar_oracle(literal):
     ctx = parse_field(literal)
     rng = random.Random(13)

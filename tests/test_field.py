@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -432,9 +433,39 @@ def test_field_without_a_modulus_is_the_canonical_field(literal):
     assert ctx is not shared and ctx == shared
     assert ctx.modulus == shared.modulus
     assert ctx.primitive_element() == shared.primitive_element()
+    if ctx.l == 1:  # a prime field is ints mod p, with no tables
+        assert all(getattr(f, name) is None for f in (ctx, shared) for name in _TABLES)
+        return
     for name in ("_add_grid", "_mul_grid"):
         mine, theirs = getattr(ctx, name), getattr(shared, name)
         assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+
+
+_TABLES = ("_add_table", "_mul_table", "_add_grid", "_mul_grid")
+_PRIMES_BELOW_512 = [p for p in range(512) if is_prime(p)]
+
+
+def test_only_extension_fields_keep_tables():
+    assert len(_PRIMES_BELOW_512) == 97
+    for p in _PRIMES_BELOW_512:
+        ctx = parse_field(p)
+        assert all(getattr(ctx, name) is None for name in _TABLES), ctx
+    for literal in TABLE_FIELDS:
+        ctx = parse_field(literal)
+        if ctx.l > 1:
+            assert all(getattr(ctx, name) is not None for name in _TABLES), ctx
+
+
+def test_prime_fields_below_512_hold_no_tables():
+    # fresh fields, not the shared ones, which an earlier test may have built;
+    # the 97 once held about 297 MB of p x p tables
+    tracemalloc.start()
+    try:
+        fields = [FieldCtx(p) for p in _PRIMES_BELOW_512]
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(fields) == 97 and held < 1 << 20
 
 
 def test_canonical_field_runs_rabins_test_only_to_find_its_modulus():
@@ -509,23 +540,48 @@ def test_tables_match_schoolbook_oracle(literal):
         assert ctx.mul(a, b) == naive_field_mul(ctx, a, b)
 
 
-@pytest.mark.parametrize("literal", ["2^10", "3^7", "521", "65521", "2^16"])
+@pytest.mark.parametrize("literal", ["2^10", "3^7", "2^16"])
 def test_digit_product_matches_schoolbook_oracle(literal):
-    # a field above TABLE_LIMIT adds, multiplies and inverts by the one digit
-    # rule, whatever its p and l: prime fields, p = 2 and odd p with l > 1
+    # an extension field above TABLE_LIMIT adds, multiplies and inverts by the
+    # one digit rule, p = 2 and odd p alike
     ctx = parse_field(literal)
     assert ctx._add_table is ctx._mul_table is None
     top = ctx.q - 1
     rng = random.Random(ctx.q)
     pairs = [(0, top), (1, top), (top, top), (ctx.p - 1, ctx.p - 1)]
-    if ctx.l > 1:
-        pairs.append((ctx.p, ctx.q // ctx.p))  # u * u^(l - 1) = u^l, reduced by the modulus
+    pairs.append((ctx.p, ctx.q // ctx.p))  # u * u^(l - 1) = u^l, reduced by the modulus
     pairs += [(rng.randrange(ctx.q), rng.randrange(ctx.q)) for _ in range(3000)]
     for a, b in pairs:
         assert ctx.add(a, b) == naive_field_add(ctx, a, b)
         assert ctx.mul(a, b) == naive_field_mul(ctx, a, b)
     for a in [a for a, _ in pairs[:300] if a]:  # an inverse is about 2 log2(q) products
         assert naive_field_mul(ctx, a, ctx.inv(a)) == 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 509, 521, 65521, 16777213])
+def test_prime_field_is_ints_mod_p(p):
+    # every prime field, above TABLE_LIMIT too, is ints mod p without the digit
+    # rule; 16777213, the largest prime below 2^24, has array products near 2^48
+    digit_rule = AssertionError("digit rule")
+    with mock.patch.object(FieldCtx, "_add_raw", side_effect=digit_rule), \
+            mock.patch.object(FieldCtx, "_mul_raw", side_effect=digit_rule):
+        ctx = FieldCtx(p)
+        top = p - 1
+        rng = random.Random(p)
+        pairs = [(0, top), (1, top), (top, top), (top, 1)]
+        pairs += [(rng.randrange(p), rng.randrange(p)) for _ in range(3000)]
+        for a, b in pairs:
+            assert ctx.add(a, b) == (a + b) % p
+            assert ctx.mul(a, b) == a * b % p
+            assert ctx.neg(a) == -a % p
+            if a:
+                assert ctx.inv(a) == pow(a, -1, p)
+                assert ctx.pow(a, -b) == pow(a, -b, p)
+            assert ctx.pow(a, b) == pow(a, b, p)
+        a, b = (np.array(v, dtype=np.int64) for v in zip(*pairs))
+        assert ctx._add_array(a, b).tolist() == [(x + y) % p for x, y in pairs]
+        assert ctx._mul_array(a, b).tolist() == [x * y % p for x, y in pairs]
+        assert ctx._mul_array(top, b).tolist() == [top * y % p for _, y in pairs]
 
 
 def _order_by_repeated_mul(ctx, a):
